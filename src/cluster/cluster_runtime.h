@@ -1,16 +1,22 @@
-// Multi-cell federation of the serving runtime: one event loop drives the
-// churn workload against a ClusterDispatcher instead of a single
-// controller. Arrivals are placed by the configured policy (with
-// spillover), rejections enter the shared retry/backoff policy, and at
-// every epoch boundary each cell's live deployment is measured by its own
-// EdgeEmulator stream. When a cell's epoch measurement shows SLO
-// violations, up to migration_batch of its lowest-priority active jobs are
-// probed on sibling cells and moved when a probe admits (flash-crowd
-// migration) — a move is release + re-admit, so per-cell ledgers can never
-// be violated by migration.
+// The serving engine: one deterministic, seedable event loop that replays
+// a churn workload (runtime::WorkloadTrace) against a ClusterDispatcher.
+// It runs the paper's Sec. III-B dynamic scenario over time on any number
+// of cells; a single edge server is a one-cell deployment
+// (runtime::ServingRuntime is that adapter).
+//
+// Arrivals instantiate their task template and are placed by the
+// configured policy (with spillover); under scheduling a rejected arrival
+// runs the preemption ladder's fallback rungs cell by cell. Rejections
+// enter the retry policy (bounded attempts, exponential backoff, optional
+// accuracy downgrade on the final try); departures release the job. At
+// every epoch boundary the due fault events apply as one batch, each
+// cell's live deployment is measured by its own EdgeEmulator stream, and
+// cells with SLO violations offer up to migration_batch of their
+// lowest-priority jobs to sibling cells (flash-crowd migration — a move is
+// release + re-admit, so per-cell ledgers can never be violated).
 //
 // Determinism contract: given equal (catalog, cells, templates, options,
-// trace), two runs produce byte-identical cluster JSON reports for any
+// trace), two runs produce byte-identical JSON reports for any
 // ODN_THREADS setting and for serial vs parallel cost_probe fan-out —
 // cells own independent ledgers, probe results reduce in fixed cell order
 // with strict `<` tie-breaking, and every stochastic draw comes from
@@ -23,42 +29,21 @@
 
 #include "cluster/cluster_stats.h"
 #include "cluster/dispatcher.h"
-#include "fault/fault_plan.h"
-#include "runtime/retry_policy.h"
+#include "runtime/options.h"
 #include "runtime/workload.h"
-#include "sched/options.h"
 
 namespace odn::cluster {
 
-struct ClusterOptions {
-  std::uint64_t seed = 2024;
-  // Epoch cadence for per-cell measurement + migration; 0 disables both.
-  double epoch_s = 10.0;
-  double emulation_window_s = 5.0;
-  bool poisson_emulation = true;
-  runtime::RetryPolicy retry{};
-  // Same priority-class ladder as RuntimeOptions.
-  std::vector<double> class_boundaries{0.35, 0.7};
-  std::vector<std::string> class_names{"low", "medium", "high"};
-  core::OffloadnnController::Options controller{};
+// The engine options plus what only a multi-cell deployment needs.
+struct ClusterOptions : runtime::RuntimeOptions {
   DispatcherOptions dispatch{};
   // Flash-crowd migration: after an epoch measurement, every cell with
   // SLO violations offers its migration_batch lowest-priority active jobs
   // to the sibling cells (highest normalized headroom first).
   bool migrate_on_slo = true;
   std::size_t migration_batch = 2;
-  // Deterministic fault schedule applied at epoch boundaries. An empty
-  // plan is a strict no-op (byte-identical reports). A non-empty plan must
-  // match the cluster's cell count and needs a positive epoch cadence.
-  fault::FaultPlan faults{};
-  // Preemption- and deadline-aware scheduling (src/sched/). Disabled is a
-  // strict no-op: arrivals take the exact pre-sched dispatcher path and
-  // the cluster report stays byte-identical. Enabled, an arrival the
-  // dispatcher rejects runs the preemption ladder per cell in the same
-  // order the dispatcher tried them (preferred first, then accepting
-  // siblings when spillover is on).
-  sched::SchedOptions sched{};
 
+  // RuntimeOptions::validate plus the migration knobs.
   void validate() const;
 };
 
@@ -70,9 +55,11 @@ class ClusterRuntime {
                  ClusterOptions options = {});
 
   // Replays the trace from t=0 on freshly reset cells and returns the
-  // cluster accounting report.
+  // cluster accounting report. The trace's template_count must match the
+  // template set handed to the constructor.
   ClusterReport run(const runtime::WorkloadTrace& trace);
 
+  // Priority-class index of a job priority.
   std::size_t class_of(double priority) const noexcept;
 
   const ClusterDispatcher& dispatcher() const noexcept { return dispatcher_; }

@@ -160,6 +160,18 @@ void ClusterReport::write_json(std::ostream& out) const {
     out << ",\n";
   }
 
+  if (batching.enabled) {
+    out << "  \"batching\": ";
+    batching.write_json(out, "  ");
+    out << ",\n";
+  }
+
+  if (alerts.enabled) {
+    out << "  \"alerts\": ";
+    runtime::write_alert_log_json(out, alerts, "  ");
+    out << ",\n";
+  }
+
   out << "  \"final\": {\n";
   out << "    \"active_tasks\": " << active_at_end << "\n";
   out << "  }\n";

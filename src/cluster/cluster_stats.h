@@ -51,6 +51,15 @@ struct ClusterEpochSnapshot {
   std::size_t cells_violating = 0;    // cells with >= 1 violation this epoch
   std::size_t migrations = 0;         // successful moves at this boundary
 
+  // Per-cell measurement detail, indexed by cell. Not serialized: the
+  // single-cell report (runtime::ServingRuntime) reads its timeline from it.
+  struct CellSample {
+    std::size_t deployed_blocks = 0;
+    double p95_latency_s = 0.0;
+    double gpu_busy_fraction = 0.0;
+  };
+  std::vector<CellSample> cells;
+
   // Monotonic wall time for this epoch's measurement + migration pass.
   // Diagnostics only: never serialized (the golden byte-compare forbids
   // wall-clock data in the report).
@@ -82,6 +91,11 @@ struct ClusterReport {
   // decisions on any cell, victims, deadline buckets). Serialized as a
   // "sched" block only when enabled, for the same reason as `faults`.
   sched::SchedStats sched;
+
+  // Epoch-boundary batching and burn-rate alert accounting over every
+  // cell; each serialized only when enabled, for the same reason.
+  runtime::BatchingStats batching;
+  obs::AlertLog alerts;
 
   // Monotonic wall time for the whole run() call; excluded from write_json
   // like ClusterEpochSnapshot::measure_wall_s.

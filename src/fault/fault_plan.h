@@ -5,8 +5,8 @@
 // and solver-budget exhaustion — either generated from a seed
 // (generate_fault_plan) or parsed from the small ODN-FAULTS text format
 // (exact round-trip, mirroring the ODN-TRACE workload format). The
-// FaultInjector (injector.h) replays a plan at epoch boundaries inside
-// ServingRuntime / ClusterRuntime.
+// FaultInjector (injector.h) replays a plan at epoch boundaries inside the
+// serving engine (ClusterRuntime; ServingRuntime is its one-cell case).
 //
 // Determinism contract: equal (cell_count, options) produce equal plans on
 // every platform the Rng is deterministic on, and write_fault_plan ∘

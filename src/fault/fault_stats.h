@@ -1,4 +1,4 @@
-// Fault + recovery accounting, shared by ServingRuntime and ClusterRuntime.
+// Fault + recovery accounting of the serving engine (both report kinds).
 //
 // Every counter is integral and incremented on the serial event loop, so
 // the block serializes byte-identically for any ODN_THREADS. The block is

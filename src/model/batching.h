@@ -1,5 +1,5 @@
 // Epoch-boundary request batching: the sub-linear cost model c(s, b) and
-// the options consumed by the emulator, the serving runtimes, and the
+// the options consumed by the emulator, the serving engine, and the
 // batching-aware admission probes.
 //
 // Xu et al. (PAPERS.md) show per-inference GPU cost falls sub-linearly in

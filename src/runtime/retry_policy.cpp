@@ -1,18 +1,23 @@
 #include "runtime/retry_policy.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 namespace odn::runtime {
 
 void RetryPolicy::validate() const {
+  // Written so NaN fails every check: a NaN delay would enter the event
+  // calendar, whose ordering is then no longer a strict weak order.
   if (max_attempts == 0)
     throw std::invalid_argument("RetryPolicy: max_attempts must be >= 1");
-  if (backoff_s < 0.0)
-    throw std::invalid_argument("RetryPolicy: negative backoff");
-  if (backoff_multiplier <= 0.0)
-    throw std::invalid_argument("RetryPolicy: non-positive multiplier");
-  if (relaxed_accuracy_factor <= 0.0 || relaxed_accuracy_factor > 1.0)
+  if (!std::isfinite(backoff_s) || backoff_s < 0.0)
+    throw std::invalid_argument(
+        "RetryPolicy: backoff must be finite and non-negative");
+  if (!std::isfinite(backoff_multiplier) || backoff_multiplier <= 0.0)
+    throw std::invalid_argument(
+        "RetryPolicy: multiplier must be finite and positive");
+  if (!(relaxed_accuracy_factor > 0.0 && relaxed_accuracy_factor <= 1.0))
     throw std::invalid_argument(
         "RetryPolicy: relaxed_accuracy_factor outside (0, 1]");
 }

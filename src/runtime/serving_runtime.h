@@ -1,81 +1,29 @@
-// Long-horizon serving runtime — the subsystem that runs the paper's
-// Sec. III-B dynamic scenario over time instead of as a one-shot solve.
+// Long-horizon serving runtime for one edge server — the paper's Sec.
+// III-B dynamic scenario run over time instead of as a one-shot solve.
 //
-// A deterministic, seedable event loop advances simulated time over a
-// churn workload (WorkloadTrace). At each arrival it instantiates the
-// job's task template and drives the controller's incremental admission;
-// rejections enter the retry policy (bounded attempts, exponential
-// backoff, optional accuracy downgrade on the final try). Departures
-// release the job's commitment. At every epoch boundary the runtime
-// assembles the live deployment into a plan and runs the discrete-event
-// EdgeEmulator against it to collect *measured* latencies, which feed the
-// per-priority-class SLO accounting in RuntimeReport.
+// A single server is a one-cell deployment of the serving engine
+// (cluster/cluster_runtime.h): this adapter builds a one-cell first_fit
+// ClusterRuntime whose shared plan cache is sized from
+// options.controller.cache, runs it, and maps the result onto the
+// single-cell RuntimeReport. Every event-loop behaviour — retries, fault
+// recovery, the preemption ladder, batching, burn-rate alerts, epoch
+// measurement — is the engine's.
 //
 // Determinism contract: given equal (catalog, resources, templates,
 // options, trace), two runs produce byte-identical JSON reports for any
-// ODN_THREADS setting — the controller's parallel plan assembly is
-// bit-identical to serial (see util/thread_pool.h) and every stochastic
-// draw comes from seeded Rng instances owned by this loop.
+// ODN_THREADS setting (the engine's contract, DESIGN.md §4d).
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
+#include "cluster/cluster_runtime.h"
 #include "core/controller.h"
-#include "fault/fault_plan.h"
-#include "model/batching.h"
-#include "obs/alerts.h"
-#include "runtime/retry_policy.h"
+#include "runtime/options.h"
 #include "runtime/stats.h"
 #include "runtime/workload.h"
-#include "sched/options.h"
 
 namespace odn::runtime {
-
-struct RuntimeOptions {
-  // Base seed for the epoch emulations (each epoch derives its own
-  // stream, so epochs are independent but reproducible).
-  std::uint64_t seed = 2024;
-  // Epoch cadence: every epoch_s of simulated time the live deployment is
-  // measured by the emulator; 0 disables measurement entirely.
-  double epoch_s = 10.0;
-  // Emulated wall-clock per measurement epoch.
-  double emulation_window_s = 5.0;
-  // Poisson request arrivals inside the emulator (bursty measurement
-  // traffic); false falls back to deterministic 1/rate spacing.
-  bool poisson_emulation = true;
-  RetryPolicy retry{};
-  // Priority classes: priority < boundaries[0] maps to class_names[0],
-  // boundaries[i-1] <= p < boundaries[i] to class_names[i], and
-  // p >= boundaries.back() to class_names.back(). Sizes must satisfy
-  // class_names.size() == boundaries.size() + 1.
-  std::vector<double> class_boundaries{0.35, 0.7};
-  std::vector<std::string> class_names{"low", "medium", "high"};
-  core::OffloadnnController::Options controller{};
-  // Deterministic fault schedule, applied at epoch boundaries. An empty
-  // plan is a strict no-op (report bytes identical to a fault-free build
-  // of the options). A non-empty plan requires cell_count == 1 and a
-  // positive epoch cadence (faults apply at epoch boundaries only).
-  fault::FaultPlan faults{};
-  // Preemption- and deadline-aware scheduling (src/sched/). Disabled is a
-  // strict no-op: the runtime takes the exact pre-sched code path and the
-  // report stays byte-identical (the bench_preempt_churn differential
-  // golden pins this).
-  sched::SchedOptions sched{};
-  // Epoch-boundary request batching (model/batching.h). Disabled is a
-  // strict no-op: admission probes keep compute_scale = 1.0 and the epoch
-  // emulator takes its exact pre-batching code path, so the report stays
-  // byte-identical for any ODN_THREADS.
-  model::BatchingOptions batching{};
-  // SLO burn-rate alerting (obs/alerts.h), evaluated over the per-class
-  // violation counters at every epoch boundary. Disabled is a strict
-  // no-op: the report stays byte-identical (no "alerts" block) and the
-  // epoch loop pays one null check.
-  obs::AlertOptions alerts{};
-
-  void validate() const;
-};
 
 class ServingRuntime {
  public:
@@ -90,19 +38,17 @@ class ServingRuntime {
   RuntimeReport run(const WorkloadTrace& trace);
 
   // Priority-class index of a template priority (exposed for tests).
-  std::size_t class_of(double priority) const noexcept;
+  std::size_t class_of(double priority) const noexcept {
+    return engine_.class_of(priority);
+  }
 
+  // The one cell's controller (caches, ledger, deployed blocks).
   const core::OffloadnnController& controller() const noexcept {
-    return controller_;
+    return engine_.dispatcher().cell(0).controller();
   }
 
  private:
-  edge::DnnCatalog catalog_;
-  edge::EdgeResources resources_;
-  edge::RadioModel radio_;
-  std::vector<core::DotTask> templates_;
-  RuntimeOptions options_;
-  core::OffloadnnController controller_;
+  cluster::ClusterRuntime engine_;
 };
 
 }  // namespace odn::runtime

@@ -5,8 +5,8 @@
 // cheaper-priority victims → preempt → reject) driven entirely by
 // probe_incremental dry-runs, and a deadline monitor classifies every job
 // into an SLO bucket at epoch boundaries. Disabled by default: with
-// `enabled == false` the runtimes take the exact pre-sched code path and
-// their reports stay byte-identical.
+// `enabled == false` the serving engine takes the exact pre-sched code path
+// and its reports stay byte-identical.
 #pragma once
 
 #include <cstddef>

@@ -68,6 +68,28 @@ LadderOutcome run_preemption_ladder(
     SchedHost& host, const core::DotTask& arrival,
     const std::vector<SchedCandidate>& candidates,
     const SchedOptions& options) {
+  // Rung 1: admit as-is.
+  if (all_admitted(host.probe({arrival}), 1)) {
+    const core::DeploymentPlan committed = host.commit({arrival});
+    const core::TaskPlan* plan = find_task_plan(committed, arrival.spec.name);
+    if (plan == nullptr || !plan->admitted)
+      fail_probe_commit_divergence(arrival.spec.name);
+    LadderOutcome out;
+    out.action = SchedAction::kAdmit;
+    out.plan = *plan;
+    out.probes = 1;
+    return out;
+  }
+  LadderOutcome out =
+      run_ladder_fallback(host, arrival, candidates, options);
+  ++out.probes;
+  return out;
+}
+
+LadderOutcome run_ladder_fallback(
+    SchedHost& host, const core::DotTask& arrival,
+    const std::vector<SchedCandidate>& candidates,
+    const SchedOptions& options) {
   LadderOutcome out;
 
   auto probe = [&](std::vector<core::DotTask> requests) {
@@ -79,17 +101,6 @@ LadderOutcome run_preemption_ladder(
       throw std::logic_error("preemption ladder: candidate '" +
                              victim.task.spec.name + "' is not served");
   };
-
-  // Rung 1: admit as-is.
-  if (all_admitted(probe({arrival}), 1)) {
-    const core::DeploymentPlan committed = host.commit({arrival});
-    const core::TaskPlan* plan = find_task_plan(committed, arrival.spec.name);
-    if (plan == nullptr || !plan->admitted)
-      fail_probe_commit_divergence(arrival.spec.name);
-    out.action = SchedAction::kAdmit;
-    out.plan = *plan;
-    return out;
-  }
 
   // Victim order: lowest effective priority first (they cost the arrival's
   // class the least), ties broken by trace id — fully deterministic.

@@ -1,4 +1,4 @@
-// Scheduling accounting, shared by ServingRuntime and ClusterRuntime.
+// Scheduling accounting of the serving engine (both report kinds).
 //
 // Mirrors fault/fault_stats.h: every counter is integral and incremented on
 // the serial event loop, so the block serializes byte-identically for any

@@ -10,6 +10,7 @@
 //     (peak watermarks never exceed capacity, even through crashes).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "cluster/cluster_runtime.h"
@@ -268,6 +269,51 @@ TEST(FaultRecoveryCluster, CrashDisplacesOntoSurvivingCells) {
   EXPECT_EQ(cluster.dispatcher().cell(1).controller().active_tasks().size(),
             0u);
   EXPECT_FALSE(cluster.dispatcher().accepting(1));
+}
+
+TEST(FaultRecoveryCluster, CrashAndRecoveryOnOneBoundaryReadmitAtOnce) {
+  // Cell 0 crashes at t=12 and recovers at t=15, so both events apply as
+  // one batch at the t=20 epoch boundary. Recovery reads the state after
+  // the whole batch: cell 0 is up again, so every displaced job is
+  // re-placed on it at t=20 (first attempt, no backoff) — for a one-cell
+  // deployment and for a cluster whose first_fit choice is cell 0.
+  runtime::WorkloadTrace trace;
+  trace.name = "three-long-jobs";
+  trace.horizon_s = 30.0;
+  trace.template_count = 5;
+  trace.events = {
+      {1.0, runtime::WorkloadEventKind::kArrival, 0, 0},
+      {2.0, runtime::WorkloadEventKind::kArrival, 1, 2},
+      {3.0, runtime::WorkloadEventKind::kArrival, 2, 4},
+  };
+  for (const std::size_t cells : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(::testing::Message() << cells << " cells");
+    std::istringstream text(
+        "ODN-FAULTS 1\n"
+        "name crash-recover-one-boundary\n"
+        "horizon 30\n"
+        "cells " + std::to_string(cells) + "\n"
+        "events 2\n"
+        "event 12 crash 0 1\n"
+        "event 15 recover 0 1\n");
+    cluster::ClusterOptions options;
+    options.epoch_s = 10.0;
+    options.dispatch.policy = cluster::PlacementPolicy::kFirstFit;
+    options.migrate_on_slo = false;  // keep every job on cell 0
+    options.faults = read_fault_plan(text);
+    cluster::ClusterRuntime cluster = small_cluster(cells, options);
+    const cluster::ClusterReport report = cluster.run(trace);
+
+    expect_fault_conservation(report.faults);
+    EXPECT_EQ(report.faults.cell_crashes, 1u);
+    EXPECT_EQ(report.faults.cell_recoveries, 1u);
+    EXPECT_EQ(report.total_admitted(), 3u);
+    EXPECT_EQ(report.faults.displaced, 3u);
+    EXPECT_EQ(report.faults.displaced_replaced, 3u);
+    EXPECT_EQ(report.faults.readmission_retries, 0u);
+    EXPECT_TRUE(cluster.dispatcher().accepting(0));
+    EXPECT_EQ(report.cells[0].active_at_end, 3u);
+  }
 }
 
 TEST(FaultRecoveryCluster, EmptyPlanIsStrictNoOp) {

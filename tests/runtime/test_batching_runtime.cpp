@@ -123,5 +123,40 @@ TEST(BatchingRuntime, MixedCatalogServesThroughCluster) {
   EXPECT_TRUE(vit_active);
 }
 
+
+TEST(BatchingRuntime, BatchingAndAlertsReachMultiCellRuns) {
+  // One engine: the multi-cell options inherit batching and burn-rate
+  // alerting, and both blocks surface in the cluster report (they stay
+  // absent when disabled, which the cluster goldens pin).
+  const core::DotInstance instance =
+      core::make_mixed_scenario(8, core::RequestRate::kMedium);
+  edge::EdgeResources base = instance.resources;
+  base.memory_capacity_bytes *= 0.6;
+  base.compute_capacity_s *= 0.6;
+  base.total_rbs = std::max<std::size_t>(1, base.total_rbs / 2);
+  cluster::ClusterOptions options;
+  options.batching.enabled = true;
+  options.alerts.enabled = true;
+  auto run_json = [&](int threads) {
+    util::set_thread_count(threads);
+    cluster::ClusterRuntime runtime(
+        instance.catalog, cluster::make_cells(3, base, 5), instance.radio,
+        instance.tasks, options);
+    const cluster::ClusterReport report = runtime.run(mixed_trace(8));
+    EXPECT_TRUE(report.batching.enabled);
+    EXPECT_GT(report.batching.dispatches, 0u);
+    EXPECT_LE(report.batching.probe_scale_min, 1.0);
+    EXPECT_TRUE(report.alerts.enabled);
+    EXPECT_EQ(report.alerts.epochs_evaluated, report.epochs);
+    return report.to_json();
+  };
+  const std::string serial = run_json(1);
+  const std::string parallel = run_json(4);
+  util::set_thread_count(0);
+  EXPECT_EQ(serial, parallel);
+  EXPECT_NE(serial.find("\"batching\""), std::string::npos);
+  EXPECT_NE(serial.find("\"alerts\""), std::string::npos);
+}
+
 }  // namespace
 }  // namespace odn::runtime

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "runtime/retry_policy.h"
 
 namespace odn::runtime {
@@ -65,6 +67,39 @@ TEST(RetryPolicy, ValidateRejectsBadConfigs) {
   policy.relaxed_accuracy_factor = 1.5;
   EXPECT_THROW(policy.validate(), std::invalid_argument);
   EXPECT_NO_THROW(RetryPolicy{}.validate());
+}
+
+
+// NaN passes every < / <= range check, so validation also demands finite
+// values: a NaN backoff would put a NaN retry time into the event calendar.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(RetryPolicy, RejectsNonFiniteBackoff) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    RetryPolicy policy;
+    policy.backoff_s = bad;
+    EXPECT_THROW(policy.validate(), std::invalid_argument);
+  }
+}
+
+TEST(RetryPolicy, RejectsNonFiniteMultiplier) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    RetryPolicy policy;
+    policy.backoff_multiplier = bad;
+    EXPECT_THROW(policy.validate(), std::invalid_argument);
+  }
+}
+
+TEST(RetryPolicy, RejectsNonFiniteRelaxedAccuracyFactor) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    RetryPolicy policy;
+    policy.relaxed_accuracy_factor = bad;
+    EXPECT_THROW(policy.validate(), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // contract (equal seeds → byte-identical JSON for any thread count).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
+#include "cluster/cluster_runtime.h"
 #include "core/scenarios.h"
 #include "runtime/serving_runtime.h"
 #include "runtime/workload.h"
@@ -215,6 +217,52 @@ TEST(ServingRuntime, RejectsMismatchedTraceAndBadOptions) {
     options.epoch_s = 5.0;
     options.emulation_window_s = 0.0;
     EXPECT_THROW(small_runtime(options), std::invalid_argument);
+  }
+}
+
+
+// Non-finite option values: every range check compares with < or <=, which
+// NaN passes silently, so each field is also checked for finiteness. The
+// multi-cell options inherit the same validation.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+template <typename Mutate>
+void expect_rejected_by_both_options(Mutate mutate) {
+  RuntimeOptions single;
+  mutate(single);
+  EXPECT_THROW(single.validate(), std::invalid_argument);
+  cluster::ClusterOptions multi;
+  mutate(multi);
+  EXPECT_THROW(multi.validate(), std::invalid_argument);
+}
+
+TEST(RuntimeOptions, RejectsNonFiniteEpoch) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    expect_rejected_by_both_options(
+        [&](auto& options) { options.epoch_s = bad; });
+  }
+}
+
+TEST(RuntimeOptions, RejectsNonFiniteEmulationWindow) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    expect_rejected_by_both_options([&](auto& options) {
+      options.emulation_window_s = bad;
+    });
+  }
+}
+
+TEST(RuntimeOptions, RejectsNonFiniteClassBoundary) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    expect_rejected_by_both_options([&](auto& options) {
+      options.class_boundaries = {0.35, bad};
+    });
+    expect_rejected_by_both_options([&](auto& options) {
+      options.class_boundaries = {bad, 0.7};
+    });
   }
 }
 

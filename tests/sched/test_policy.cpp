@@ -6,6 +6,7 @@
 // solver and close the loop with the no-orphaned-resources invariant.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -410,6 +411,73 @@ TEST_F(ControllerLadderTest, InfeasibleArrivalRollsBackToTheExactState) {
   const std::vector<std::string> active = controller_.active_tasks();
   ASSERT_EQ(active.size(), 1u);
   EXPECT_EQ(active[0], instance_.tasks[0].spec.name);
+}
+
+
+TEST(PreemptionLadder, FallbackIsTheLadderWithoutRungOne) {
+  // A caller whose own plain placement was rung 1 runs only rungs 2-4:
+  // same decision and victims as the full ladder, one probe fewer.
+  auto seeded_host = [] {
+    FakeHost host;
+    host.weight = {{"v1", 4.0}, {"v2", 4.0}, {"arrival", 5.0}};
+    host.commit({make_task("v1", 0.1)});
+    host.commit({make_task("v2", 0.2)});
+    return host;
+  };
+  const std::vector<SchedCandidate> candidates{
+      make_candidate(1, 0.1, make_task("v1", 0.1)),
+      make_candidate(2, 0.2, make_task("v2", 0.2))};
+  SchedOptions options;
+  options.allow_downgrade = false;
+
+  FakeHost full_host = seeded_host();
+  const LadderOutcome full = run_preemption_ladder(
+      full_host, make_task("arrival", 0.9), candidates, options);
+  FakeHost fallback_host = seeded_host();
+  const LadderOutcome fallback = run_ladder_fallback(
+      fallback_host, make_task("arrival", 0.9), candidates, options);
+
+  EXPECT_EQ(full.action, SchedAction::kPreempt);
+  EXPECT_EQ(fallback.action, full.action);
+  EXPECT_EQ(fallback.probes + 1, full.probes);
+  ASSERT_EQ(fallback.victims.size(), full.victims.size());
+  for (std::size_t i = 0; i < full.victims.size(); ++i) {
+    EXPECT_EQ(fallback.victims[i].id, full.victims[i].id);
+    EXPECT_EQ(fallback.victims[i].fate, full.victims[i].fate);
+  }
+  EXPECT_EQ(fallback_host.release_log, full_host.release_log);
+}
+
+// NaN passes every < / <= range check, so validation also demands finite
+// values for each SchedOptions field.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(SchedOptions, RejectsNonFiniteDowngradeFactor) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    SchedOptions options;
+    options.downgrade_accuracy_factor = bad;
+    EXPECT_THROW(options.validate(), std::invalid_argument);
+  }
+}
+
+TEST(SchedOptions, RejectsNonFiniteMinPriorityGap) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    SchedOptions options;
+    options.min_priority_gap = bad;
+    EXPECT_THROW(options.validate(), std::invalid_argument);
+  }
+}
+
+TEST(SchedOptions, RejectsNonFiniteDefaultDeadline) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    SchedOptions options;
+    options.default_deadline_s = bad;
+    EXPECT_THROW(options.validate(), std::invalid_argument);
+  }
 }
 
 }  // namespace
