@@ -3,10 +3,10 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/fmt.h"
+#include "util/record_reader.h"
 
 namespace odn::core {
 namespace {
@@ -28,53 +28,6 @@ bool needs_v2(const DotInstance& instance) {
     }
   }
   return false;
-}
-
-// Line-scoped reader that tracks numbers for error messages.
-class LineReader {
- public:
-  explicit LineReader(std::istream& in) : in_(in) {}
-
-  // Reads the next non-empty, non-comment line; throws at EOF.
-  std::string next(const char* expectation) {
-    std::string line;
-    while (std::getline(in_, line)) {
-      ++line_number_;
-      if (line.empty() || line[0] == '#') continue;
-      return line;
-    }
-    throw std::runtime_error(util::fmt(
-        "read_instance: unexpected end of input (expected {})",
-        expectation));
-  }
-
-  [[noreturn]] void fail(const std::string& message) const {
-    throw std::runtime_error(util::fmt("read_instance: line {}: {}",
-                                       line_number_, message));
-  }
-
- private:
-  std::istream& in_;
-  std::size_t line_number_ = 0;
-};
-
-// Consumes the keyword at the start of `line` and returns the rest.
-std::istringstream expect_keyword(LineReader& reader,
-                                  const std::string& line,
-                                  const char* keyword) {
-  std::istringstream stream(line);
-  std::string word;
-  stream >> word;
-  if (word != keyword)
-    reader.fail(util::fmt("expected '{}', found '{}'", keyword, word));
-  return stream;
-}
-
-// Reads the remainder of the stream as a (possibly space-containing) name.
-std::string rest_as_name(std::istringstream& stream) {
-  std::string name;
-  std::getline(stream >> std::ws, name);
-  return name;
 }
 
 }  // namespace
@@ -133,120 +86,81 @@ void write_instance(const DotInstance& instance, const std::string& path) {
 }
 
 DotInstance read_instance(std::istream& in) {
-  LineReader reader(in);
-  const std::string header = reader.next("header");
-  bool v2 = false;
-  if (header == kHeaderV2) {
-    v2 = true;
-  } else if (header != kHeaderV1) {
-    reader.fail("bad header (expected 'ODN-INSTANCE 1' or 'ODN-INSTANCE 2')");
-  }
-
+  util::RecordReader reader(in, "read_instance");
+  const bool v2 = reader.header({kHeaderV1, kHeaderV2}) == 1;
   DotInstance instance;
-  {
-    auto stream = expect_keyword(reader, reader.next("name"), "name");
-    instance.name = rest_as_name(stream);
-  }
-  {
-    auto stream = expect_keyword(reader, reader.next("alpha"), "alpha");
-    if (!(stream >> instance.alpha)) reader.fail("bad alpha");
-  }
-  {
-    auto stream =
-        expect_keyword(reader, reader.next("resources"), "resources");
-    if (!(stream >> instance.resources.compute_capacity_s >>
-          instance.resources.training_budget_s >>
-          instance.resources.memory_capacity_bytes >>
-          instance.resources.total_rbs))
-      reader.fail("bad resources line");
-  }
-  {
-    auto stream = expect_keyword(reader, reader.next("radio"), "radio");
-    std::string mode;
-    stream >> mode;
-    if (mode == "fixed") {
-      double rate = 0.0;
-      if (!(stream >> rate)) reader.fail("bad fixed radio rate");
-      instance.radio = edge::RadioModel::fixed(rate);
-    } else if (mode == "lte") {
-      instance.radio = edge::RadioModel::lte();
-    } else {
-      reader.fail(util::fmt("unknown radio mode '{}'", mode));
-    }
+  instance.name = reader.record("name").rest();
+  instance.alpha = reader.record("alpha").number("alpha");
+  instance.resources.compute_capacity_s =
+      reader.record("resources").number("compute capacity");
+  instance.resources.training_budget_s = reader.number("training budget");
+  instance.resources.memory_capacity_bytes =
+      reader.number("memory capacity");
+  instance.resources.total_rbs = reader.count<std::size_t>("RB count");
+  const std::string_view mode = reader.record("radio").word("radio mode");
+  if (mode == "fixed") {
+    const double rate = reader.number("fixed radio rate");
+    instance.radio =
+        reader.check([&] { return edge::RadioModel::fixed(rate); });
+  } else if (mode == "lte") {
+    instance.radio = edge::RadioModel::lte();
+  } else {
+    reader.fail(util::fmt("unknown radio mode '{}'", mode));
   }
 
-  std::size_t block_count = 0;
-  {
-    auto stream = expect_keyword(reader, reader.next("blocks"), "blocks");
-    if (!(stream >> block_count)) reader.fail("bad block count");
-  }
+  const auto block_count =
+      reader.record("blocks").count<std::size_t>("block count");
   for (std::size_t i = 0; i < block_count; ++i) {
-    auto stream = expect_keyword(reader, reader.next("block"), "block");
-    int kind = 0;
-    int architecture = 0;
     edge::CatalogBlock block;
-    if (!(stream >> kind)) reader.fail("bad block record");
-    if (v2 && !(stream >> architecture)) reader.fail("bad block record");
-    if (!(stream >> block.inference_time_s >> block.memory_bytes >>
-          block.training_cost_s))
-      reader.fail("bad block record");
-    if (kind < 0 || kind > static_cast<int>(edge::BlockKind::kClassifier))
+    const auto kind = reader.record("block").count<unsigned>("block kind");
+    if (kind > static_cast<unsigned>(edge::BlockKind::kClassifier))
       reader.fail(util::fmt("bad block kind {}", kind));
-    if (architecture < 0 ||
-        architecture > static_cast<int>(edge::Architecture::kTransformer))
-      reader.fail(util::fmt("bad block architecture {}", architecture));
     block.kind = static_cast<edge::BlockKind>(kind);
+    const auto architecture = v2 ? reader.count<unsigned>("architecture") : 0;
+    if (architecture > static_cast<unsigned>(edge::Architecture::kTransformer))
+      reader.fail(util::fmt("bad block architecture {}", architecture));
     block.architecture = static_cast<edge::Architecture>(architecture);
-    block.name = rest_as_name(stream);
-    instance.catalog.add_block(std::move(block));
+    block.inference_time_s = reader.number("inference time");
+    block.memory_bytes = reader.number("memory");
+    block.training_cost_s = reader.number("training cost");
+    block.name = reader.rest();
+    reader.check([&] { instance.catalog.add_block(std::move(block)); });
   }
 
-  std::size_t task_count = 0;
-  {
-    auto stream = expect_keyword(reader, reader.next("tasks"), "tasks");
-    if (!(stream >> task_count)) reader.fail("bad task count");
-  }
+  const auto task_count =
+      reader.record("tasks").count<std::size_t>("task count");
   for (std::size_t t = 0; t < task_count; ++t) {
-    auto stream = expect_keyword(reader, reader.next("task"), "task");
     DotTask task;
-    std::size_t quality_count = 0;
-    std::size_t option_count = 0;
-    if (!(stream >> task.spec.priority >> task.spec.request_rate >>
-          task.spec.min_accuracy >> task.spec.max_latency_s >>
-          task.spec.snr_db >> quality_count >> option_count))
-      reader.fail("bad task record");
-    task.spec.name = rest_as_name(stream);
-
+    task.spec.priority = reader.record("task").number("priority");
+    task.spec.request_rate = reader.number("request rate");
+    task.spec.min_accuracy = reader.number("min accuracy");
+    task.spec.max_latency_s = reader.number("max latency");
+    task.spec.snr_db = reader.number("snr");
+    const auto quality_count = reader.count<std::size_t>("quality count");
+    const auto option_count = reader.count<std::size_t>("option count");
+    task.spec.name = reader.rest();
     for (std::size_t q = 0; q < quality_count; ++q) {
-      auto qstream =
-          expect_keyword(reader, reader.next("quality"), "quality");
-      edge::QualityLevel quality;
-      if (!(qstream >> quality.bits_per_image >> quality.accuracy_factor))
-        reader.fail("bad quality record");
-      task.spec.qualities.push_back(quality);
+      edge::QualityLevel& quality = task.spec.qualities.emplace_back();
+      quality.bits_per_image =
+          reader.record("quality").number("bits per image");
+      quality.accuracy_factor = reader.number("accuracy factor");
     }
     for (std::size_t o = 0; o < option_count; ++o) {
-      auto ostream_ =
-          expect_keyword(reader, reader.next("option"), "option");
-      PathOption option;
-      std::size_t path_blocks = 0;
-      if (!(ostream_ >> option.quality_index)) reader.fail("bad option record");
-      if (v2 && !(ostream_ >> option.compute_scale))
-        reader.fail("bad option record");
-      if (!(ostream_ >> option.path.accuracy >> path_blocks))
-        reader.fail("bad option record");
-      for (std::size_t b = 0; b < path_blocks; ++b) {
-        edge::BlockIndex index = 0;
-        if (!(ostream_ >> index)) reader.fail("bad option block list");
-        option.path.blocks.push_back(index);
-      }
-      option.path.name = rest_as_name(ostream_);
-      task.options.push_back(std::move(option));
+      PathOption& option = task.options.emplace_back();
+      option.quality_index =
+          reader.record("option").count<std::size_t>("quality index");
+      if (v2) option.compute_scale = reader.number("compute scale");
+      option.path.accuracy = reader.number("path accuracy");
+      const auto path_blocks = reader.count<std::size_t>("path length");
+      for (std::size_t b = 0; b < path_blocks; ++b)
+        option.path.blocks.push_back(
+            reader.count<edge::BlockIndex>("path block"));
+      option.path.name = reader.rest();
     }
     instance.tasks.push_back(std::move(task));
   }
-
-  instance.finalize();
+  reader.check([&] { instance.finalize(); });
+  reader.finish();
   return instance;
 }
 

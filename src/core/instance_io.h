@@ -17,6 +17,7 @@
 //   task <p> <lambda> <A> <L> <snr> <n_qualities> <n_options> <name>
 //   quality <bits> <accuracy_factor>
 //   option <quality_index> <accuracy> <n_blocks> <b...> <name>
+// Records follow the shared ODN-* grammar of util/record_reader.h.
 #pragma once
 
 #include <iosfwd>

@@ -5,10 +5,11 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
-#include <sstream>
+#include <set>
 #include <stdexcept>
 
 #include "util/fmt.h"
+#include "util/record_reader.h"
 #include "util/rng.h"
 
 namespace odn::fault {
@@ -36,43 +37,6 @@ bool is_onset(FaultEventKind kind) noexcept {
   return static_cast<std::size_t>(kind) % 2 == 0;
 }
 
-// Line-scoped reader mirroring the workload trace parser.
-class LineReader {
- public:
-  explicit LineReader(std::istream& in) : in_(in) {}
-
-  std::string next(const char* expectation) {
-    std::string line;
-    while (std::getline(in_, line)) {
-      ++line_number_;
-      if (line.empty() || line[0] == '#') continue;
-      return line;
-    }
-    throw std::runtime_error(
-        util::fmt("read_fault_plan: unexpected end of input (expected {})",
-                  expectation));
-  }
-
-  [[noreturn]] void fail(const std::string& message) const {
-    throw std::runtime_error(
-        util::fmt("read_fault_plan: line {}: {}", line_number_, message));
-  }
-
- private:
-  std::istream& in_;
-  std::size_t line_number_ = 0;
-};
-
-std::istringstream expect_keyword(LineReader& reader, const std::string& line,
-                                  const char* keyword) {
-  std::istringstream stream(line);
-  std::string word;
-  stream >> word;
-  if (word != keyword)
-    reader.fail(util::fmt("expected '{}', found '{}'", keyword, word));
-  return stream;
-}
-
 }  // namespace
 
 const char* fault_event_kind_name(FaultEventKind kind) noexcept {
@@ -97,8 +61,13 @@ void FaultPlan::validate() const {
   if (horizon_s < 0.0)
     throw std::invalid_argument(
         util::fmt("FaultPlan '{}': negative horizon", name));
-  // active[cell * 4 + class] tracks the open onset per (cell, fault class).
-  std::vector<bool> active(cell_count * 4, false);
+  if (cell_count > std::numeric_limits<std::size_t>::max() / 4)
+    throw std::invalid_argument(util::fmt(
+        "FaultPlan '{}': cell count {} overflows the (cell, class) index",
+        name, cell_count));
+  // Open onsets, indexed cell * 4 + fault class: a set sized by the events
+  // rather than a table sized by cell_count, which a file can make huge.
+  std::set<std::size_t> open;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& event = events[i];
     if (event.time_s < 0.0 || event.time_s > horizon_s + 1e-9)
@@ -127,21 +96,13 @@ void FaultPlan::validate() const {
           "FaultPlan '{}': event {} ({}) carries magnitude {}", name, i,
           fault_event_kind_name(event.kind), event.magnitude));
     }
-    std::vector<bool>::reference open =
-        active[event.cell * 4 + class_of(event.kind)];
-    if (is_onset(event.kind)) {
-      if (open)
-        throw std::invalid_argument(util::fmt(
-            "FaultPlan '{}': event {} ({}) on cell {} while already faulted",
-            name, i, fault_event_kind_name(event.kind), event.cell));
-      open = true;
-    } else {
-      if (!open)
-        throw std::invalid_argument(util::fmt(
-            "FaultPlan '{}': event {} ({}) on cell {} with no open fault",
-            name, i, fault_event_kind_name(event.kind), event.cell));
-      open = false;
-    }
+    const std::size_t key = event.cell * 4 + class_of(event.kind);
+    if (is_onset(event.kind) ? !open.insert(key).second : !open.erase(key))
+      throw std::invalid_argument(util::fmt(
+          "FaultPlan '{}': event {} ({}) on cell {} {}", name, i,
+          fault_event_kind_name(event.kind), event.cell,
+          is_onset(event.kind) ? "while already faulted"
+                               : "with no open fault"));
   }
 }
 
@@ -241,42 +202,28 @@ void write_fault_plan(const FaultPlan& plan, const std::string& path) {
 }
 
 FaultPlan read_fault_plan(std::istream& in) {
-  LineReader reader(in);
-  if (reader.next("header") != kHeader)
-    reader.fail(util::fmt("expected header '{}'", kHeader));
-
+  util::RecordReader reader(in, "read_fault_plan");
+  reader.header({kHeader});
   FaultPlan plan;
-  {
-    std::istringstream stream =
-        expect_keyword(reader, reader.next("name"), "name");
-    std::getline(stream >> std::ws, plan.name);
-  }
-  expect_keyword(reader, reader.next("horizon"), "horizon") >> plan.horizon_s;
-  expect_keyword(reader, reader.next("cells"), "cells") >> plan.cell_count;
-  std::size_t count = 0;
-  expect_keyword(reader, reader.next("events"), "events") >> count;
-  plan.events.reserve(count);
+  plan.name = reader.record("name").rest();
+  plan.horizon_s = reader.record("horizon").number("horizon");
+  plan.cell_count = reader.record("cells").count<std::size_t>("cell count");
+  const auto count =
+      reader.record("events").count<std::size_t>("event count");
   for (std::size_t i = 0; i < count; ++i) {
-    std::istringstream stream =
-        expect_keyword(reader, reader.next("event"), "event");
     FaultEvent event;
-    std::string kind;
-    if (!(stream >> event.time_s >> kind >> event.cell >> event.magnitude))
-      reader.fail("malformed event record");
-    const auto it = std::find_if(
-        kKindNames.begin(), kKindNames.end(),
-        [&](const char* name) { return kind == name; });
+    event.time_s = reader.record("event").number("event time");
+    const std::string_view kind = reader.word("event kind");
+    const auto it = std::find(kKindNames.begin(), kKindNames.end(), kind);
     if (it == kKindNames.end())
       reader.fail(util::fmt("unknown event kind '{}'", kind));
-    event.kind =
-        static_cast<FaultEventKind>(it - kKindNames.begin());
+    event.kind = static_cast<FaultEventKind>(it - kKindNames.begin());
+    event.cell = reader.count<std::size_t>("cell");
+    event.magnitude = reader.number("magnitude");
     plan.events.push_back(event);
   }
-  try {
-    plan.validate();
-  } catch (const std::invalid_argument& error) {
-    reader.fail(error.what());
-  }
+  reader.check([&] { plan.validate(); });
+  reader.finish();
   return plan;
 }
 

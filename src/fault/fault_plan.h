@@ -60,11 +60,12 @@ struct FaultPlan {
 
   bool empty() const noexcept { return events.empty(); }
 
-  // Throws std::invalid_argument unless the plan is well formed: events
-  // sorted and inside [0, horizon], cells inside [0, cell_count), magnitudes
-  // in range, and — per cell, per fault class — onsets and recoveries
-  // strictly alternating starting with an onset (a missing recovery at the
-  // horizon is allowed: the fault persists to the end of the run).
+  // Throws std::invalid_argument unless the plan is well formed: cell_count
+  // in [1, SIZE_MAX / 4], events sorted and inside [0, horizon], cells
+  // inside [0, cell_count), magnitudes in range, and — per cell, per fault
+  // class — onsets and recoveries strictly alternating starting with an
+  // onset (a missing recovery at the horizon is allowed: the fault persists
+  // to the end of the run).
   void validate() const;
 };
 
@@ -92,8 +93,9 @@ struct FaultPlanOptions {
 FaultPlan generate_fault_plan(std::size_t cell_count,
                               const FaultPlanOptions& options = {});
 
-// ODN-FAULTS 1 text format (exact round-trip; same discipline as the
-// workload ODN-TRACE format).
+// ODN-FAULTS 1 text format (exact round-trip; the shared ODN-* record
+// grammar of util/record_reader.h). read_fault_plan throws
+// std::runtime_error with the offending line number on malformed input.
 void write_fault_plan(const FaultPlan& plan, std::ostream& out);
 void write_fault_plan(const FaultPlan& plan, const std::string& path);
 FaultPlan read_fault_plan(std::istream& in);

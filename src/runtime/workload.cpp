@@ -4,10 +4,11 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
-#include <sstream>
+#include <set>
 #include <stdexcept>
 
 #include "util/fmt.h"
+#include "util/record_reader.h"
 #include "util/rng.h"
 
 namespace odn::runtime {
@@ -21,42 +22,6 @@ bool event_less(const WorkloadEvent& a, const WorkloadEvent& b) noexcept {
   if (a.time_s != b.time_s) return a.time_s < b.time_s;
   if (a.job_id != b.job_id) return a.job_id < b.job_id;
   return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-}
-
-// Line-scoped reader mirroring the instance_io parser.
-class LineReader {
- public:
-  explicit LineReader(std::istream& in) : in_(in) {}
-
-  std::string next(const char* expectation) {
-    std::string line;
-    while (std::getline(in_, line)) {
-      ++line_number_;
-      if (line.empty() || line[0] == '#') continue;
-      return line;
-    }
-    throw std::runtime_error(util::fmt(
-        "read_trace: unexpected end of input (expected {})", expectation));
-  }
-
-  [[noreturn]] void fail(const std::string& message) const {
-    throw std::runtime_error(
-        util::fmt("read_trace: line {}: {}", line_number_, message));
-  }
-
- private:
-  std::istream& in_;
-  std::size_t line_number_ = 0;
-};
-
-std::istringstream expect_keyword(LineReader& reader, const std::string& line,
-                                  const char* keyword) {
-  std::istringstream stream(line);
-  std::string word;
-  stream >> word;
-  if (word != keyword)
-    reader.fail(util::fmt("expected '{}', found '{}'", keyword, word));
-  return stream;
 }
 
 }  // namespace
@@ -86,7 +51,7 @@ bool WorkloadTrace::has_qos() const noexcept {
 }
 
 void WorkloadTrace::validate() const {
-  std::vector<std::uint64_t> arrived;
+  std::set<std::uint64_t> present;  // arrived and not yet departed
   std::size_t arrivals = 0;
   std::size_t qos_arrivals = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -103,11 +68,9 @@ void WorkloadTrace::validate() const {
       throw std::invalid_argument(util::fmt(
           "WorkloadTrace '{}': events unsorted at index {}", name, i));
     if (event.kind == WorkloadEventKind::kArrival) {
-      if (std::find(arrived.begin(), arrived.end(), event.job_id) !=
-          arrived.end())
+      if (!present.insert(event.job_id).second)
         throw std::invalid_argument(util::fmt(
             "WorkloadTrace '{}': job {} arrives twice", name, event.job_id));
-      arrived.push_back(event.job_id);
       ++arrivals;
       if (event.has_qos) {
         ++qos_arrivals;
@@ -126,13 +89,10 @@ void WorkloadTrace::validate() const {
             "WorkloadTrace '{}': departure of job {} carries a qos "
             "annotation (arrivals only)",
             name, event.job_id));
-      const auto it =
-          std::find(arrived.begin(), arrived.end(), event.job_id);
-      if (it == arrived.end())
+      if (present.erase(event.job_id) == 0)
         throw std::invalid_argument(util::fmt(
             "WorkloadTrace '{}': job {} departs before arriving", name,
             event.job_id));
-      arrived.erase(it);
     }
   }
   // QoS is all-or-nothing: a partially annotated trace would silently run
@@ -291,54 +251,39 @@ void write_trace(const WorkloadTrace& trace, const std::string& path) {
 }
 
 WorkloadTrace read_trace(std::istream& in) {
-  LineReader reader(in);
-  if (reader.next("header") != kHeader)
-    reader.fail(util::fmt("expected header '{}'", kHeader));
-
+  util::RecordReader reader(in, "read_trace");
+  reader.header({kHeader});
   WorkloadTrace trace;
-  {
-    std::istringstream stream =
-        expect_keyword(reader, reader.next("name"), "name");
-    std::getline(stream >> std::ws, trace.name);
-  }
-  expect_keyword(reader, reader.next("horizon"), "horizon") >>
-      trace.horizon_s;
-  expect_keyword(reader, reader.next("templates"), "templates") >>
-      trace.template_count;
-  std::size_t count = 0;
-  expect_keyword(reader, reader.next("events"), "events") >> count;
-  trace.events.reserve(count);
+  trace.name = reader.record("name").rest();
+  trace.horizon_s = reader.record("horizon").number("horizon");
+  trace.template_count =
+      reader.record("templates").count<std::size_t>("template count");
+  const auto count =
+      reader.record("events").count<std::size_t>("event count");
   for (std::size_t i = 0; i < count; ++i) {
-    std::istringstream stream =
-        expect_keyword(reader, reader.next("event"), "event");
     WorkloadEvent event;
-    char kind = '\0';
-    if (!(stream >> event.time_s >> kind >> event.job_id >>
-          event.template_index))
-      reader.fail("malformed event record");
-    if (kind != 'A' && kind != 'D')
+    event.time_s = reader.record("event").number("event time");
+    const std::string_view kind = reader.word("event kind");
+    if (kind != "A" && kind != "D")
       reader.fail(util::fmt("unknown event kind '{}'", kind));
-    event.kind = kind == 'A' ? WorkloadEventKind::kArrival
+    event.kind = kind == "A" ? WorkloadEventKind::kArrival
                              : WorkloadEventKind::kDeparture;
-    std::string suffix;
-    if (stream >> suffix) {
+    event.job_id = reader.count<std::uint64_t>("job id");
+    event.template_index = reader.count<std::size_t>("template index");
+    if (!reader.at_end()) {
+      const std::string_view suffix = reader.word("suffix");
       if (suffix != "qos")
-        reader.fail(
-            util::fmt("unexpected trailing field '{}'", suffix));
+        reader.fail(util::fmt("unexpected trailing field '{}'", suffix));
       if (event.kind == WorkloadEventKind::kDeparture)
         reader.fail("qos annotation on a departure record (arrivals only)");
-      if (!(stream >> event.deadline_s >> event.priority))
-        reader.fail("malformed qos annotation (want: qos <deadline_s> "
-                    "<priority>)");
+      event.deadline_s = reader.number("qos deadline");
+      event.priority = reader.number("qos priority");
       event.has_qos = true;
     }
     trace.events.push_back(event);
   }
-  try {
-    trace.validate();
-  } catch (const std::invalid_argument& error) {
-    reader.fail(error.what());
-  }
+  reader.check([&] { trace.validate(); });
+  reader.finish();
   return trace;
 }
 

@@ -124,6 +124,7 @@ void annotate_qos(WorkloadTrace& trace, const WorkloadQosOptions& qos,
 //   event <time> <A|D> <job_id> <template_index> [qos <deadline_s> <priority>]
 // The `qos` suffix appears on arrivals of QoS-annotated traces only, and
 // must appear on either all arrivals or none (all-or-nothing).
+// Records follow the shared ODN-* grammar of util/record_reader.h.
 void write_trace(const WorkloadTrace& trace, std::ostream& out);
 void write_trace(const WorkloadTrace& trace, const std::string& path);
 

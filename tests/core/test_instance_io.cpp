@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/offloadnn_solver.h"
 #include "core/scenarios.h"
@@ -55,6 +59,22 @@ TEST(InstanceIo, RoundTripHandCraftedInstance) {
   const DotInstance restored = read_instance(buffer);
   expect_instances_equal(original, restored);
   EXPECT_TRUE(restored.finalized());
+
+  // Signed zero and the largest finite magnitudes survive exactly.
+  DotInstance instance = original;
+  instance.resources.memory_capacity_bytes = 1e308;
+  instance.tasks[0].spec.snr_db = -0.0;
+  instance.finalize();
+  std::stringstream first;
+  write_instance(instance, first);
+  EXPECT_NE(first.str().find("resources 1 100 1e+308 20\n"),
+            std::string::npos);
+  const DotInstance wide = read_instance(first);
+  EXPECT_EQ(wide.resources.memory_capacity_bytes, 1e308);
+  EXPECT_TRUE(std::signbit(wide.tasks[0].spec.snr_db));
+  std::stringstream second;
+  write_instance(wide, second);
+  EXPECT_EQ(second.str(), first.str());
 }
 
 TEST(InstanceIo, RoundTripSmallScenario) {
@@ -149,6 +169,45 @@ TEST(InstanceIo, MalformedRecordReportsLineNumber) {
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
         << error.what();
+  }
+
+  // Unparsable, non-finite, out-of-range and +-prefixed numbers, signed or
+  // oversized counts, trailing tokens, records past the declared count and
+  // values the instance's own validation rejects all fail with the
+  // offending line.
+  std::stringstream written;
+  write_instance(testing::two_task_instance(), written);
+  const std::string base = written.str();
+  const std::vector<std::pair<std::string, std::string>> defects = {
+      {"alpha 0.5", "alpha abc"},
+      {"alpha 0.5", "alpha nan"},
+      {"alpha 0.5", "alpha inf"},
+      {"alpha 0.5", "alpha 1e400"},
+      {"alpha 0.5", "alpha +0.5"},
+      {"alpha 0.5", "alpha 7"},
+      {"blocks 5", "blocks -1"},
+      {"tasks 2", "tasks 99999999999999"},
+      {"resources 1 100 100000000 20", "resources 1 100 100000000 -20"},
+      {"1 2 task-hi", "1 18446744073709551616 task-hi"},
+      {"alpha 0.5", "alpha 0.5 0.5"},
+      {"lo-ft\n", "lo-ft\nblock 0 0.01 1 0 extra\n"},
+      {"radio fixed 100000", "radio fixed -5"},
+      {"block 0 0.01 10000000 0", "block 0 0.01 -1 0"},
+      {"3 0 1 3 hi-pruned", "3 0 1 9 hi-pruned"},
+  };
+  for (const auto& [from, to] : defects) {
+    std::string text = base;
+    ASSERT_NE(text.find(from), std::string::npos) << from;
+    text.replace(text.find(from), from.size(), to);
+    std::stringstream in(text);
+    try {
+      read_instance(in);
+      ADD_FAILURE() << "accepted '" << to << "'";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("read_instance: line "),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

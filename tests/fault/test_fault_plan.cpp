@@ -3,7 +3,11 @@
 // ODN-FAULTS text format.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/fault_plan.h"
 
@@ -161,6 +165,18 @@ TEST(FaultPlanIo, ExactRoundTrip) {
     // Bit-exact: times and magnitudes serialize with max_digits10.
     EXPECT_TRUE(parsed.events[i] == plan.events[i]);
   }
+
+  // Signed zero and the largest finite magnitudes survive exactly.
+  const std::string extremes =
+      "ODN-FAULTS 1\nname x\nhorizon 1e+308\ncells 1\nevents 1\n"
+      "event -0 latency_inflate 0 1e+308\n";
+  std::stringstream in(extremes);
+  const FaultPlan wide = read_fault_plan(in);
+  EXPECT_TRUE(std::signbit(wide.events[0].time_s));
+  EXPECT_EQ(wide.events[0].magnitude, 1e308);
+  std::stringstream out;
+  write_fault_plan(wide, out);
+  EXPECT_EQ(out.str(), extremes);
 }
 
 TEST(FaultPlanIo, GeneratedPlanRoundTripsBitExactly) {
@@ -180,6 +196,44 @@ TEST(FaultPlanIo, GeneratedPlanRoundTripsBitExactly) {
 TEST(FaultPlanIo, RejectsGarbage) {
   std::stringstream stream("not a fault plan\n");
   EXPECT_THROW(read_fault_plan(stream), std::runtime_error);
+
+  // Unparsable, non-finite, out-of-range and +-prefixed numbers, signed or
+  // oversized counts, trailing tokens and records past the declared count
+  // all fail with the offending line.
+  const std::string base =
+      "ODN-FAULTS 1\nname x\nhorizon 30\ncells 4\nevents 1\n"
+      "event 1 crash 1 1\n";
+  const std::vector<std::pair<std::string, std::string>> defects = {
+      {"horizon 30", "horizon abc"},
+      {"horizon 30", "horizon nan"},
+      {"horizon 30", "horizon inf"},
+      {"horizon 30", "horizon 1e400"},
+      {"crash 1 1", "crash 1 +1"},
+      {"cells 4", "cells -1"},
+      {"events 1", "events -1"},
+      {"events 1", "events 99999999999999"},
+      {"crash 1 1", "crash 18446744073709551616 1"},
+      {"crash 1 1", "crash 1 nan"},
+      {"cells 4", "cells 4 4"},
+      {"crash 1 1\n", "crash 1 1\nevent 2 recover 1 1\n"},
+      // validate() once indexed a cell_count * 4 table that had wrapped
+      // to size zero here.
+      {"cells 4\nevents 1\nevent 1 crash 1 1",
+       "cells 4611686018427387904\nevents 1\nevent 1 crash 5 1"},
+  };
+  for (const auto& [from, to] : defects) {
+    std::string text = base;
+    text.replace(text.find(from), from.size(), to);
+    std::stringstream in(text);
+    try {
+      read_fault_plan(in);
+      ADD_FAILURE() << "accepted '" << to << "'";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("read_fault_plan: line "),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(FaultPlanIo, MissingFileThrows) {

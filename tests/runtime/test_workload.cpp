@@ -3,7 +3,11 @@
 // platforms and refactors.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "runtime/workload.h"
 
@@ -73,6 +77,22 @@ TEST(Workload, SaveLoadRoundTripIsExact) {
     EXPECT_EQ(loaded.events[i].template_index,
               trace.events[i].template_index);
   }
+
+  // Signed zero and the largest finite magnitudes survive exactly.
+  std::stringstream extremes(
+      "ODN-TRACE 1\nname x\nhorizon 1e308\ntemplates 1\nevents 1\n"
+      "event -0 A 0 0\n");
+  const WorkloadTrace parsed = read_trace(extremes);
+  EXPECT_EQ(parsed.horizon_s, 1e308);
+  EXPECT_TRUE(std::signbit(parsed.events[0].time_s));
+  std::stringstream first;
+  write_trace(parsed, first);
+  EXPECT_EQ(first.str(),
+            "ODN-TRACE 1\nname x\nhorizon 1e+308\ntemplates 1\nevents 1\n"
+            "event -0 A 0 0\n");
+  std::stringstream second;
+  write_trace(read_trace(first), second);
+  EXPECT_EQ(second.str(), first.str());
 }
 
 TEST(Workload, GoldenTracePinsGeneratorDeterminism) {
@@ -158,6 +178,39 @@ TEST(Workload, ReadRejectsMalformedInput) {
         "ODN-TRACE 1\nname x\nhorizon 10\ntemplates 1\nevents 2\n"
         "event 1.0 A 0 0\n");
     EXPECT_THROW(read_trace(in), std::runtime_error);
+  }
+  // Unparsable, non-finite, out-of-range and +-prefixed numbers, signed or
+  // oversized counts, trailing tokens and records past the declared count
+  // all fail with the offending line.
+  const std::string base =
+      "ODN-TRACE 1\nname x\nhorizon 10\ntemplates 1\nevents 1\n"
+      "event 1 A 0 0\n";
+  const std::vector<std::pair<std::string, std::string>> defects = {
+      {"horizon 10", "horizon abc"},
+      {"horizon 10", "horizon nan"},
+      {"horizon 10", "horizon inf"},
+      {"horizon 10", "horizon 1e400"},
+      {"horizon 10", "horizon +10"},
+      {"templates 1", "templates -1"},
+      {"events 1", "events -1"},
+      {"events 1", "events 99999999999999"},
+      {"A 0 0", "A 18446744073709551616 0"},
+      {"event 1 A", "event nan A"},
+      {"templates 1", "templates 1 2"},
+      {"event 1 A 0 0\n", "event 1 A 0 0\nevent 2 D 0 0\n"},
+  };
+  for (const auto& [from, to] : defects) {
+    std::string text = base;
+    text.replace(text.find(from), from.size(), to);
+    std::stringstream in(text);
+    try {
+      read_trace(in);
+      ADD_FAILURE() << "accepted '" << to << "'";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("read_trace: line "),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 
