@@ -3,27 +3,17 @@
 //      jointly with the DNN structure (the paper fixes q_τ per task);
 //   2. heterogeneous SNR — the large scenario over an LTE cell where
 //      per-device channel quality spans cell-center to cell-edge;
-//   3. heterogeneous catalog × batching (--hetcat) — long-horizon churn
-//      over the mixed ResNet/transformer catalog (early-exit paths
-//      included), optionally with epoch-boundary request batching.
-//
-// Without --hetcat the bench prints the legacy comparison tables. With
-// --hetcat it emits one machine-readable runtime report JSON on stdout
-// (and to --out) — deterministic: equal seeds produce byte-identical
-// reports for any ODN_THREADS setting, and --batching off takes the
-// strict pre-batching code path (the hetcat goldens pin both).
+//   3. heterogeneous catalog — the mixed ResNet/transformer catalog (early
+//      exits included) solved at each request rate. bench_churn --hetcat
+//      serves the same catalog under long-horizon churn.
 //
 // --measure-batching instead times full-depth substrate ViT inference at
 // batch sizes 1..8 against the honest single-request baseline and fits
 // the sub-linear cost model's marginal fraction (the EXPERIMENTS.md
 // table; wall-clock, so never golden-compared).
 //
-//   $ ./bench_extension_scenarios [--hetcat | --measure-batching]
-//       [--seed N] [--horizon S] [--tasks T] [--batching] [--max-batch K]
-//       [--marginal-fraction F] [--out report.json]
+//   $ ./bench_extension_scenarios [--measure-batching] [--seed N]
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -32,8 +22,7 @@
 #include "core/scenarios.h"
 #include "model/zoo.h"
 #include "obs/session.h"
-#include "runtime/serving_runtime.h"
-#include "runtime/workload.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/table.h"
 
@@ -139,44 +128,13 @@ int main(int argc, char** argv) {
 
   obs::EnvSession obs_session;
 
-  bool hetcat = false;
   bool measure_batching = false;
   std::uint64_t seed = 7;
-  double horizon_s = 90.0;
-  std::size_t num_tasks = 18;
-  bool batching = false;
-  std::size_t max_batch = 8;
-  double marginal_fraction = 0.45;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--hetcat") {
-      hetcat = true;
-    } else if (arg == "--measure-batching") {
-      measure_batching = true;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--horizon" && i + 1 < argc) {
-      horizon_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--tasks" && i + 1 < argc) {
-      num_tasks =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--batching") {
-      batching = true;
-    } else if (arg == "--max-batch" && i + 1 < argc) {
-      max_batch =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--marginal-fraction" && i + 1 < argc) {
-      marginal_fraction = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--hetcat] [--measure-batching] [--seed N]"
-                   " [--horizon S] [--tasks T] [--batching] [--max-batch K]"
-                   " [--marginal-fraction F] [--out report.json]\n";
-      return 2;
-    }
+  util::Flags flags(argc, argv, "[--measure-batching] [--seed N]");
+  while (flags.next()) {
+    if (flags.is("--measure-batching")) measure_batching = true;
+    else if (flags.is("--seed")) seed = flags.count<std::uint64_t>();
+    else flags.unknown();
   }
 
   util::set_log_level(util::LogLevel::kWarn);
@@ -212,75 +170,9 @@ int main(int argc, char** argv) {
               << util::Table::num(fit.marginal_fraction, 3)
               << "  (per-request amortized scale at b=8: "
               << util::Table::num(fit.amortized_scale(8.0), 3) << ")\n";
-    if (!out_path.empty()) {
-      std::ofstream out(out_path);
-      out << "{}\n";  // wall-clock measurements are never golden-compared
-    }
     return 0;
   }
 
-  if (!hetcat) {
-    legacy_tables();
-    if (!out_path.empty()) {
-      // The golden harness always appends --out; legacy mode has no JSON
-      // report, so emit an empty object (goldens always pass --hetcat).
-      std::ofstream out(out_path);
-      out << "{}\n";
-    }
-    return 0;
-  }
-
-  const core::DotInstance scenario =
-      core::make_mixed_scenario(num_tasks, core::RequestRate::kMedium);
-
-  runtime::WorkloadOptions workload;
-  workload.horizon_s = horizon_s;
-  workload.seed = seed;
-  workload.arrival_rate_per_s = 1.2;
-  workload.mean_holding_s = 25.0;
-  workload.burst_count = 2;
-  workload.burst_arrivals_mean = 8.0;
-  workload.burst_span_s = 3.0;
-  const runtime::WorkloadTrace trace =
-      runtime::generate_workload(scenario.tasks.size(), workload);
-  std::cerr << "bench_extension_scenarios: trace '" << trace.name << "', "
-            << trace.events.size() << " events (" << trace.arrival_count()
-            << " arrivals) over " << trace.horizon_s << " s, batching "
-            << (batching ? "on" : "off") << "\n";
-
-  runtime::RuntimeOptions options;
-  options.seed = seed;
-  options.epoch_s = 10.0;
-  options.emulation_window_s = 5.0;
-  options.retry.max_attempts = 3;
-  options.retry.backoff_s = 2.0;
-  options.retry.downgrade_final_attempt = true;
-  options.batching.enabled = batching;
-  options.batching.max_batch = max_batch;
-  options.batching.cost.marginal_fraction = marginal_fraction;
-
-  runtime::ServingRuntime serving(scenario.catalog, scenario.resources,
-                                  scenario.radio, scenario.tasks, options);
-  const runtime::RuntimeReport report = serving.run(trace);
-
-  report.write_json(std::cout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "bench_extension_scenarios: cannot open " << out_path
-                << "\n";
-      return 1;
-    }
-    report.write_json(out);
-  }
-  std::cerr << "bench_extension_scenarios: " << report.total_admitted()
-            << "/" << report.total_arrivals() << " jobs admitted, "
-            << report.total_slo_violations() << " SLO violations across "
-            << report.epochs << " epochs";
-  if (batching)
-    std::cerr << ", " << report.batching.dispatches << " dispatches ("
-              << report.batching.coalesced_requests << " coalesced, max "
-              << report.batching.max_batch << ")";
-  std::cerr << "\n";
+  legacy_tables();
   return 0;
 }

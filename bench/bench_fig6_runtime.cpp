@@ -13,6 +13,7 @@
 #include "core/scenarios.h"
 #include "obs/session.h"
 #include "obs/trace.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -20,17 +21,12 @@ int main(int argc, char** argv) {
 
   std::string trace_out;
   std::string metrics_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--trace-out trace.json] [--metrics-out out.prom]\n";
-      return 2;
-    }
+  util::Flags flags(argc, argv,
+                    "[--trace-out trace.json] [--metrics-out out.prom]");
+  while (flags.next()) {
+    if (flags.is("--trace-out")) trace_out = flags.text();
+    else if (flags.is("--metrics-out")) metrics_out = flags.text();
+    else flags.unknown();
   }
   if (!trace_out.empty()) obs::set_tracing_enabled(true);
   if (!trace_out.empty() || !metrics_out.empty())

@@ -25,15 +25,18 @@
 // cache amortizes one solve across all of them. --types 0 degenerates to
 // the adversarial all-unique workload where plan-cache hits require exact
 // state recurrence.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/dispatcher.h"
@@ -41,7 +44,10 @@
 #include "core/plan_cache.h"
 #include "core/scenarios.h"
 #include "obs/session.h"
+#include "util/flags.h"
+#include "util/fmt.h"
 #include "util/logging.h"
+#include "util/record_reader.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -194,50 +200,39 @@ int main(int argc, char** argv) {
   std::size_t types = 8;
   std::string mode = "both";
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tasks" && i + 1 < argc) {
-      tasks_arg = argv[++i];
-    } else if (arg == "--cells" && i + 1 < argc) {
-      cells = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--epochs" && i + 1 < argc) {
-      epochs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--churn" && i + 1 < argc) {
-      churn = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--types" && i + 1 < argc) {
-      types = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--mode" && i + 1 < argc) {
-      mode = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--tasks T1,T2,...] [--cells N] [--epochs E]"
-                   " [--churn F] [--seed S] [--types K]"
-                   " [--mode both|cold|warm] [--out report.json]\n";
-      return 2;
-    }
+  util::Flags flags(argc, argv,
+                    "[--tasks T1,T2,...] [--cells N] [--epochs E] [--churn F]"
+                    " [--seed S] [--types K] [--mode both|cold|warm]"
+                    " [--out report.json]");
+  while (flags.next()) {
+    if (flags.is("--tasks")) tasks_arg = flags.text();
+    else if (flags.is("--cells")) cells = flags.count<std::size_t>(1);
+    else if (flags.is("--epochs")) epochs = flags.count<std::size_t>();
+    else if (flags.is("--churn")) churn = flags.number();
+    else if (flags.is("--seed")) seed = flags.count<std::uint64_t>();
+    else if (flags.is("--types")) types = flags.count<std::size_t>();
+    else if (flags.is("--mode")) mode = flags.choice({"both", "cold", "warm"});
+    else if (flags.is("--out")) out_path = flags.text();
+    else flags.unknown();
   }
-  if (cells == 0 || churn < 0.0 || churn > 1.0 ||
-      (mode != "both" && mode != "cold" && mode != "warm")) {
-    std::cerr << "bench_solver_scale: bad --cells, --churn or --mode\n";
-    return 2;
-  }
+  if (churn < 0.0 || churn > 1.0)
+    flags.fail(util::fmt("--churn: bad value '{}' (want a number in [0, 1])",
+                         churn));
 
+  // --tasks is a comma-separated list of task counts, each a count token.
   std::vector<std::size_t> sweep;
-  {
-    std::stringstream stream(tasks_arg);
-    std::string token;
-    while (std::getline(stream, token, ','))
-      if (!token.empty())
-        sweep.push_back(static_cast<std::size_t>(
-            std::strtoull(token.c_str(), nullptr, 10)));
-  }
-  if (sweep.empty()) {
-    std::cerr << "bench_solver_scale: empty --tasks sweep\n";
-    return 2;
+  for (std::size_t begin = 0; begin <= tasks_arg.size();) {
+    const std::size_t end = std::min(tasks_arg.find(',', begin),
+                                     tasks_arg.size());
+    const std::string_view item =
+        std::string_view(tasks_arg).substr(begin, end - begin);
+    const std::optional<std::uint64_t> tasks =
+        util::parse_count(item, std::numeric_limits<std::size_t>::max());
+    if (!tasks || *tasks == 0)
+      flags.fail(util::fmt("--tasks: bad task count '{}' in '{}'", item,
+                           tasks_arg));
+    sweep.push_back(static_cast<std::size_t>(*tasks));
+    begin = end + 1;
   }
 
   util::set_log_level(util::LogLevel::kWarn);
@@ -253,16 +248,10 @@ int main(int argc, char** argv) {
     const core::DotInstance world =
         core::make_scaled_scenario(tasks, core::RequestRate::kLow);
     // The same 1.3/N aggregate-over-provisioned envelope as
-    // bench_cluster_churn: equal cells small enough that placement
+    // bench_churn --cells: equal cells small enough that placement
     // matters, big enough that the working set fits the cluster.
-    edge::EdgeResources cell_resources = world.resources;
-    const double slice = 1.3 / static_cast<double>(cells);
-    cell_resources.memory_capacity_bytes *= slice;
-    cell_resources.compute_capacity_s *= slice;
-    cell_resources.training_budget_s *= slice;
-    cell_resources.total_rbs = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(
-               static_cast<double>(cell_resources.total_rbs) * slice)));
+    const edge::EdgeResources cell_resources =
+        world.resources.scaled(1.3 / static_cast<double>(cells));
 
     RunResult cold;
     RunResult warm;

@@ -14,13 +14,13 @@
 //
 //   $ ./deadline_serving [--seed N] [--duration S] [--tightness T]
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "core/scenarios.h"
 #include "runtime/serving_runtime.h"
 #include "runtime/workload.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/table.h"
 
@@ -30,19 +30,12 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 7;
   double duration_s = 60.0;
   double tightness = 1.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--duration" && i + 1 < argc) {
-      duration_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--tightness" && i + 1 < argc) {
-      tightness = std::strtod(argv[++i], nullptr);
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--seed N] [--duration S] [--tightness T]\n";
-      return 2;
-    }
+  util::Flags flags(argc, argv, "[--seed N] [--duration S] [--tightness T]");
+  while (flags.next()) {
+    if (flags.is("--seed")) seed = flags.count<std::uint64_t>();
+    else if (flags.is("--duration")) duration_s = flags.positive();
+    else if (flags.is("--tightness")) tightness = flags.positive();
+    else flags.unknown();
   }
   util::set_log_level(util::LogLevel::kWarn);
 

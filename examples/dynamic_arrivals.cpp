@@ -16,7 +16,6 @@
 //
 //   $ ./dynamic_arrivals [--seed N] [--duration S]
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -24,6 +23,7 @@
 #include "core/scenarios.h"
 #include "runtime/serving_runtime.h"
 #include "runtime/workload.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/table.h"
 
@@ -32,16 +32,11 @@ int main(int argc, char** argv) {
 
   std::uint64_t seed = 2024;
   double duration_s = 60.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--duration" && i + 1 < argc) {
-      duration_s = std::strtod(argv[++i], nullptr);
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--seed N] [--duration S]\n";
-      return 2;
-    }
+  util::Flags flags(argc, argv, "[--seed N] [--duration S]");
+  while (flags.next()) {
+    if (flags.is("--seed")) seed = flags.count<std::uint64_t>();
+    else if (flags.is("--duration")) duration_s = flags.positive();
+    else flags.unknown();
   }
   util::set_log_level(util::LogLevel::kWarn);  // the churn loop is chatty
 

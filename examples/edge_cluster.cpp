@@ -6,15 +6,15 @@
 // jobs from SLO-violating cells.
 //
 //   $ ./edge_cluster [--cells N] [--seed S] [--duration S]
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cmath>
 #include <iostream>
 #include <string>
 
 #include "cluster/cluster_runtime.h"
 #include "core/scenarios.h"
 #include "runtime/workload.h"
+#include "util/flags.h"
 #include "util/fmt.h"
 #include "util/logging.h"
 #include "util/table.h"
@@ -25,23 +25,12 @@ int main(int argc, char** argv) {
   std::size_t cells = 3;
   std::uint64_t seed = 2024;
   double duration_s = 40.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--cells" && i + 1 < argc) {
-      cells = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--duration" && i + 1 < argc) {
-      duration_s = std::strtod(argv[++i], nullptr);
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--cells N] [--seed S] [--duration S]\n";
-      return 2;
-    }
-  }
-  if (cells == 0) {
-    std::cerr << "edge_cluster: need at least one cell\n";
-    return 2;
+  util::Flags flags(argc, argv, "[--cells N] [--seed S] [--duration S]");
+  while (flags.next()) {
+    if (flags.is("--cells")) cells = flags.count<std::size_t>(1, 4096);
+    else if (flags.is("--seed")) seed = flags.count<std::uint64_t>();
+    else if (flags.is("--duration")) duration_s = flags.positive();
+    else flags.unknown();
   }
   util::set_log_level(util::LogLevel::kWarn);
 
@@ -49,14 +38,8 @@ int main(int argc, char** argv) {
       core::make_large_scenario(core::RequestRate::kLow);
 
   // Shard the single-server envelope into slightly over-provisioned cells.
-  edge::EdgeResources base = scenario.resources;
-  const double slice = 1.3 / static_cast<double>(cells);
-  base.memory_capacity_bytes *= slice;
-  base.compute_capacity_s *= slice;
-  base.training_budget_s *= slice;
-  base.total_rbs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::llround(
-             static_cast<double>(base.total_rbs) * slice)));
+  const edge::EdgeResources base =
+      scenario.resources.scaled(1.3 / static_cast<double>(cells));
 
   runtime::WorkloadOptions workload;
   workload.horizon_s = duration_s;
@@ -109,7 +92,7 @@ int main(int argc, char** argv) {
   std::cout << "\nSpillover rescues admissions the preferred cell rejects; "
                "migration drains\nSLO-violating cells into siblings with "
                "headroom. Full per-cell accounting:\n"
-               "  ./bench_cluster_churn --cells "
+               "  ./bench_churn --cells "
             << cells << " --seed " << seed << "\n";
   return 0;
 }

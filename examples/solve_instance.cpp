@@ -11,15 +11,18 @@
 //
 // The format round-trips complete DOT problems, so characterized scenarios
 // can be archived, edited by hand and re-solved.
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <iostream>
+#include <string>
 
 #include "baseline/semoran.h"
 #include "core/instance_io.h"
 #include "core/offloadnn_solver.h"
 #include "core/optimal_solver.h"
 #include "core/scenarios.h"
+#include "util/flags.h"
+#include "util/fmt.h"
+#include "util/record_reader.h"
 #include "util/table.h"
 
 namespace {
@@ -58,23 +61,47 @@ void print_solution(const odn::core::DotInstance& instance,
 int main(int argc, char** argv) {
   using namespace odn;
 
+  util::Flags flags(argc, argv, "[FILE [--optimal] | --export FILE [T]]");
+  std::string input_path, export_path;
+  std::size_t export_tasks = 0;  // 0 = the default of 5
+  bool optimal = false;
+  while (flags.next()) {
+    if (flags.is("--export")) {
+      export_path = flags.text();
+    } else if (flags.is("--optimal")) {
+      optimal = true;
+    } else if (flags.arg().empty() || flags.arg()[0] == '-') {
+      flags.unknown();
+    } else if (!export_path.empty() && export_tasks == 0) {
+      export_tasks = util::parse_count(flags.arg(), SIZE_MAX).value_or(0);
+      if (export_tasks == 0)
+        flags.fail(util::fmt("--export: bad task count '{}'", flags.arg()));
+    } else if (input_path.empty() && export_path.empty()) {
+      input_path = flags.arg();
+    } else {
+      flags.unknown();
+    }
+  }
+  if (!export_path.empty() && (optimal || !input_path.empty()))
+    flags.fail("--export takes no input FILE and no --optimal");
+  if (optimal && input_path.empty()) flags.fail("--optimal needs a FILE");
+
   try {
-    if (argc >= 3 && std::strcmp(argv[1], "--export") == 0) {
-      const std::size_t tasks =
-          argc >= 4 ? static_cast<std::size_t>(std::atoi(argv[3])) : 5;
-      const core::DotInstance instance = core::make_small_scenario(tasks);
-      core::write_instance(instance, argv[2]);
+    if (!export_path.empty()) {
+      const core::DotInstance instance =
+          core::make_small_scenario(export_tasks == 0 ? 5 : export_tasks);
+      core::write_instance(instance, export_path);
       std::cout << "Wrote '" << instance.name << "' ("
                 << instance.catalog.block_count() << " blocks, "
-                << instance.tasks.size() << " tasks) to " << argv[2]
+                << instance.tasks.size() << " tasks) to " << export_path
                 << '\n';
       return 0;
     }
 
     core::DotInstance instance;
-    if (argc >= 2) {
-      instance = core::read_instance_file(argv[1]);
-      std::cout << "Loaded '" << instance.name << "' from " << argv[1]
+    if (!input_path.empty()) {
+      instance = core::read_instance_file(input_path);
+      std::cout << "Loaded '" << instance.name << "' from " << input_path
                 << '\n';
     } else {
       // Demo mode: full round trip through the file format.
@@ -85,10 +112,8 @@ int main(int argc, char** argv) {
                 << " and re-loaded it.\n\n";
     }
 
-    const bool optimal =
-        argc >= 3 && std::strcmp(argv[2], "--optimal") == 0;
     print_solution(instance, core::OffloadnnSolver{}.solve(instance));
-    if (optimal || argc < 2)
+    if (optimal || input_path.empty())
       print_solution(instance, core::OptimalSolver{}.solve(instance));
     print_solution(instance, baseline::SemOranSolver{}.solve(instance));
   } catch (const std::exception& error) {

@@ -8,7 +8,6 @@
 //   $ ./transformer_serving [--seed N] [--duration S] [--tasks T]
 //       [--no-batching]
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -18,6 +17,7 @@
 #include "runtime/serving_runtime.h"
 #include "runtime/stats.h"
 #include "runtime/workload.h"
+#include "util/flags.h"
 #include "util/logging.h"
 
 int main(int argc, char** argv) {
@@ -27,22 +27,14 @@ int main(int argc, char** argv) {
   double duration_s = 60.0;
   std::size_t num_tasks = 12;
   bool batching = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--duration" && i + 1 < argc) {
-      duration_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--tasks" && i + 1 < argc) {
-      num_tasks =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--no-batching") {
-      batching = false;
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--seed N] [--duration S] [--tasks T] [--no-batching]\n";
-      return 2;
-    }
+  util::Flags flags(argc, argv,
+                    "[--seed N] [--duration S] [--tasks T] [--no-batching]");
+  while (flags.next()) {
+    if (flags.is("--seed")) seed = flags.count<std::uint64_t>();
+    else if (flags.is("--duration")) duration_s = flags.positive();
+    else if (flags.is("--tasks")) num_tasks = flags.count<std::size_t>(1);
+    else if (flags.is("--no-batching")) batching = false;
+    else flags.unknown();
   }
   util::set_log_level(util::LogLevel::kWarn);
 

@@ -1,6 +1,8 @@
 // Edge computing platform capacities (paper Table III: R, C, Ct, M).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 
@@ -21,6 +23,19 @@ struct EdgeResources {
     if (compute_capacity_s <= 0.0 || training_budget_s <= 0.0 ||
         memory_capacity_bytes <= 0.0 || total_rbs == 0)
       throw std::invalid_argument("EdgeResources: non-positive capacity");
+  }
+
+  // Every capacity times `factor`, RBs rounded and kept >= 1: the slice of
+  // this envelope that one cell of a fleet gets.
+  EdgeResources scaled(double factor) const {
+    EdgeResources slice = *this;
+    slice.compute_capacity_s *= factor;
+    slice.training_budget_s *= factor;
+    slice.memory_capacity_bytes *= factor;
+    slice.total_rbs = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::llround(
+               static_cast<double>(total_rbs) * factor)));
+    return slice;
   }
 };
 

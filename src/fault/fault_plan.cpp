@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <set>
 #include <stdexcept>
@@ -58,9 +60,10 @@ void FaultPlan::validate() const {
   if (cell_count == 0)
     throw std::invalid_argument(
         util::fmt("FaultPlan '{}': zero cells", name));
-  if (horizon_s < 0.0)
+  if (!(std::isfinite(horizon_s) && horizon_s >= 0.0))
     throw std::invalid_argument(
-        util::fmt("FaultPlan '{}': negative horizon", name));
+        util::fmt("FaultPlan '{}': horizon {} not in [0, inf)", name,
+                  horizon_s));
   if (cell_count > std::numeric_limits<std::size_t>::max() / 4)
     throw std::invalid_argument(util::fmt(
         "FaultPlan '{}': cell count {} overflows the (cell, class) index",
@@ -70,7 +73,7 @@ void FaultPlan::validate() const {
   std::set<std::size_t> open;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& event = events[i];
-    if (event.time_s < 0.0 || event.time_s > horizon_s + 1e-9)
+    if (!(event.time_s >= 0.0 && event.time_s <= horizon_s + 1e-9))
       throw std::invalid_argument(
           util::fmt("FaultPlan '{}': event {} at t={} outside [0, {}]", name,
                     i, event.time_s, horizon_s));
@@ -107,22 +110,30 @@ void FaultPlan::validate() const {
 }
 
 void FaultPlanOptions::validate() const {
-  if (horizon_s <= 0.0)
-    throw std::invalid_argument("FaultPlanOptions: non-positive horizon");
-  if (mean_outage_s <= 0.0 || mean_degradation_s <= 0.0 ||
-      mean_inflation_s <= 0.0 || mean_exhaustion_s <= 0.0)
-    throw std::invalid_argument("FaultPlanOptions: non-positive duration");
-  if (degrade_floor <= 0.0 || degrade_floor > 0.9)
+  const auto positive_finite = [](double x) {
+    return std::isfinite(x) && x > 0.0;
+  };
+  if (!positive_finite(horizon_s))
+    throw std::invalid_argument("FaultPlanOptions: horizon not in (0, inf)");
+  if (!(positive_finite(mean_outage_s) && positive_finite(mean_degradation_s) &&
+        positive_finite(mean_inflation_s) &&
+        positive_finite(mean_exhaustion_s)))
+    throw std::invalid_argument("FaultPlanOptions: duration not in (0, inf)");
+  if (!(degrade_floor > 0.0 && degrade_floor <= 0.9))
     throw std::invalid_argument(
         "FaultPlanOptions: degrade_floor outside (0, 0.9]");
-  if (max_inflation < 1.2)
-    throw std::invalid_argument("FaultPlanOptions: max_inflation below 1.2");
+  if (!(std::isfinite(max_inflation) && max_inflation >= 1.2))
+    throw std::invalid_argument(
+        "FaultPlanOptions: max_inflation not in [1.2, inf)");
 }
 
 FaultPlan generate_fault_plan(std::size_t cell_count,
                               const FaultPlanOptions& options) {
-  if (cell_count == 0)
-    throw std::invalid_argument("generate_fault_plan: zero cells");
+  if (cell_count == 0 ||
+      cell_count > std::numeric_limits<std::size_t>::max() / 4)
+    throw std::invalid_argument(util::fmt(
+        "generate_fault_plan: cell count {} not in [1, SIZE_MAX / 4]",
+        cell_count));
   options.validate();
 
   util::Rng rng(options.seed);
@@ -135,8 +146,10 @@ FaultPlan generate_fault_plan(std::size_t cell_count,
   // horizon, and an end beyond the horizon drops the recovery event (the
   // fault persists to the end of the run). Overlapping draws for the same
   // (cell, class) are skipped after their Rng draws, so the stream of
-  // draws — and therefore the plan — is deterministic per seed.
-  std::vector<std::vector<std::pair<double, double>>> windows(cell_count * 4);
+  // draws — and therefore the plan — is deterministic per seed. Windows are
+  // keyed cell * 4 + fault class, so the table grows with the draws, not
+  // with cell_count.
+  std::map<std::size_t, std::vector<std::pair<double, double>>> windows;
   const std::array<std::size_t, 4> counts = {
       options.cell_crashes, options.radio_degradations,
       options.latency_inflations, options.budget_exhaustions};

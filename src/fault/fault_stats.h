@@ -4,7 +4,7 @@
 // the block serializes byte-identically for any ODN_THREADS. The block is
 // only emitted into a report when `enabled` (a non-empty fault plan was
 // configured) — an idle injector leaves report bytes untouched, which is
-// what the bench_chaos_churn vs bench_cluster_churn differential pins.
+// what the golden_chaos_noop_differential ctest pins.
 //
 // Conservation invariant (checked by the recovery property tests): every
 // displacement resolves in exactly one bucket —

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #if defined(__AVX2__) && defined(__FMA__) && !defined(ODN_DISABLE_AVX2)
@@ -44,17 +45,21 @@ bool cpu_supports(GemmLane lane) noexcept {
 }
 
 // ODN_GEMM_LANE=scalar|avx2|avx512 pins the lane without a rebuild (the
-// no-AVX2 CI sweep and the EXPERIMENTS.md lane tables use it); unknown or
-// unavailable values fall back to auto dispatch.
-GemmLane env_lane() noexcept {
+// no-AVX2 CI sweep and the EXPERIMENTS.md lane tables use it). Unset,
+// empty or "auto" means auto dispatch, and so does a known lane this CPU
+// or build lacks; any other name throws std::invalid_argument.
+GemmLane env_lane() {
   static const GemmLane lane = [] {
     const char* value = std::getenv("ODN_GEMM_LANE");
-    if (value == nullptr) return GemmLane::kAuto;
-    const std::string name(value);
+    const std::string name = value == nullptr ? "" : value;
     GemmLane requested = GemmLane::kAuto;
     if (name == "scalar") requested = GemmLane::kScalar;
     else if (name == "avx2") requested = GemmLane::kAvx2;
     else if (name == "avx512") requested = GemmLane::kAvx512;
+    else if (!name.empty() && name != "auto")
+      throw std::invalid_argument(
+          "ODN_GEMM_LANE: unknown lane '" + name +
+          "' (want scalar|avx2|avx512|auto)");
     return gemm_lane_available(requested) ? requested : GemmLane::kAuto;
   }();
   return lane;
@@ -265,7 +270,7 @@ bool gemm_lane_available(GemmLane lane) noexcept {
   return gemm_lane_compiled(lane) && cpu_supports(lane);
 }
 
-GemmLane gemm_resolve_lane() noexcept {
+GemmLane gemm_resolve_lane() {
   const GemmLane forced = g_forced_lane.load(std::memory_order_relaxed);
   if (forced != GemmLane::kAuto) return forced;
   const GemmLane pinned = env_lane();

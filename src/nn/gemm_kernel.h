@@ -42,7 +42,8 @@ bool gemm_lane_compiled(GemmLane lane) noexcept;
 // Compiled AND supported by the running CPU?
 bool gemm_lane_available(GemmLane lane) noexcept;
 // The concrete lane kAuto resolves to right now (never kAuto itself).
-GemmLane gemm_resolve_lane() noexcept;
+// Throws std::invalid_argument on an unknown ODN_GEMM_LANE name.
+GemmLane gemm_resolve_lane();
 // Test/bench hook: pin every subsequent GEMM to one lane (also disables
 // the small-shape shortcut so the packed path is exercised on any shape).
 // Returns false and leaves the setting unchanged if the lane is not

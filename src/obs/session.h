@@ -2,9 +2,9 @@
 //
 // Declare one EnvSession at the top of main():
 //
-//   ODN_TRACE=out.json    ./bench_runtime_churn  # Perfetto trace at exit
-//   ODN_METRICS=out.prom  ./bench_runtime_churn  # Prometheus text at exit
-//   ODN_FLIGHT=out.json   ./bench_runtime_churn  # flight record at exit
+//   ODN_TRACE=out.json    ./bench_churn  # Perfetto trace at exit
+//   ODN_METRICS=out.prom  ./bench_churn  # Prometheus text at exit
+//   ODN_FLIGHT=out.json   ./bench_churn  # flight record at exit
 //
 // The constructor reads the variables, enables the tracer when ODN_TRACE
 // is set and the flight recorder when ODN_FLIGHT is set; the destructor

@@ -1,6 +1,7 @@
 #include "runtime/workload.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -23,6 +24,9 @@ bool event_less(const WorkloadEvent& a, const WorkloadEvent& b) noexcept {
   if (a.job_id != b.job_id) return a.job_id < b.job_id;
   return static_cast<int>(a.kind) < static_cast<int>(b.kind);
 }
+
+// False for NaN and infinities as well as for x <= 0.
+bool positive_finite(double x) noexcept { return std::isfinite(x) && x > 0.0; }
 
 }  // namespace
 
@@ -51,12 +55,15 @@ bool WorkloadTrace::has_qos() const noexcept {
 }
 
 void WorkloadTrace::validate() const {
+  if (!(std::isfinite(horizon_s) && horizon_s >= 0.0))
+    throw std::invalid_argument(util::fmt(
+        "WorkloadTrace '{}': horizon {} not in [0, inf)", name, horizon_s));
   std::set<std::uint64_t> present;  // arrived and not yet departed
   std::size_t arrivals = 0;
   std::size_t qos_arrivals = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const WorkloadEvent& event = events[i];
-    if (event.time_s < 0.0 || event.time_s > horizon_s + 1e-9)
+    if (!(event.time_s >= 0.0 && event.time_s <= horizon_s + 1e-9))
       throw std::invalid_argument(util::fmt(
           "WorkloadTrace '{}': event {} at t={} outside [0, {}]", name, i,
           event.time_s, horizon_s));
@@ -78,7 +85,7 @@ void WorkloadTrace::validate() const {
           throw std::invalid_argument(util::fmt(
               "WorkloadTrace '{}': job {} has non-positive deadline {}",
               name, event.job_id, event.deadline_s));
-        if (event.priority < 0.0 || event.priority > 1.0)
+        if (!(event.priority >= 0.0 && event.priority <= 1.0))
           throw std::invalid_argument(util::fmt(
               "WorkloadTrace '{}': job {} priority {} outside [0, 1]", name,
               event.job_id, event.priority));
@@ -109,12 +116,17 @@ WorkloadTrace generate_workload(std::size_t template_count,
                                 const WorkloadOptions& options) {
   if (template_count == 0)
     throw std::invalid_argument("generate_workload: no task templates");
-  if (options.horizon_s <= 0.0)
-    throw std::invalid_argument("generate_workload: non-positive horizon");
-  if (options.arrival_rate_per_s <= 0.0)
-    throw std::invalid_argument("generate_workload: non-positive rate");
-  if (options.mean_holding_s <= 0.0)
-    throw std::invalid_argument("generate_workload: non-positive holding");
+  if (!positive_finite(options.horizon_s))
+    throw std::invalid_argument("generate_workload: horizon not in (0, inf)");
+  if (!positive_finite(options.arrival_rate_per_s))
+    throw std::invalid_argument("generate_workload: rate not in (0, inf)");
+  if (!positive_finite(options.mean_holding_s))
+    throw std::invalid_argument("generate_workload: holding not in (0, inf)");
+  if (!(std::isfinite(options.burst_arrivals_mean) &&
+        options.burst_arrivals_mean >= 0.0 &&
+        std::isfinite(options.burst_span_s) && options.burst_span_s >= 0.0))
+    throw std::invalid_argument(
+        "generate_workload: burst size or span not in [0, inf)");
   if (!options.template_weights.empty() &&
       options.template_weights.size() != template_count)
     throw std::invalid_argument(
@@ -127,8 +139,9 @@ WorkloadTrace generate_workload(std::size_t template_count,
   if (!options.template_weights.empty()) {
     double total = 0.0;
     for (const double w : options.template_weights) {
-      if (w < 0.0)
-        throw std::invalid_argument("generate_workload: negative weight");
+      if (!(std::isfinite(w) && w >= 0.0))
+        throw std::invalid_argument(
+            "generate_workload: weight not in [0, inf)");
       total += w;
       cumulative.push_back(total);
     }
@@ -190,16 +203,17 @@ WorkloadTrace generate_workload(std::size_t template_count,
 
 void annotate_qos(WorkloadTrace& trace, const WorkloadQosOptions& qos,
                   std::uint64_t seed) {
-  if (qos.mean_deadline_s <= 0.0)
-    throw std::invalid_argument("annotate_qos: non-positive mean deadline");
-  if (qos.min_deadline_s < 0.0)
-    throw std::invalid_argument("annotate_qos: negative min deadline");
-  if (qos.deadline_tightness <= 0.0)
-    throw std::invalid_argument("annotate_qos: non-positive tightness");
+  if (!positive_finite(qos.mean_deadline_s))
+    throw std::invalid_argument("annotate_qos: mean deadline not in (0, inf)");
+  if (!(std::isfinite(qos.min_deadline_s) && qos.min_deadline_s >= 0.0))
+    throw std::invalid_argument("annotate_qos: min deadline not in [0, inf)");
+  if (!positive_finite(qos.deadline_tightness))
+    throw std::invalid_argument("annotate_qos: tightness not in (0, inf)");
   std::vector<double> cumulative;
   for (const double w : qos.priority_mix) {
-    if (w < 0.0)
-      throw std::invalid_argument("annotate_qos: negative priority weight");
+    if (!(std::isfinite(w) && w >= 0.0))
+      throw std::invalid_argument(
+          "annotate_qos: priority weight not in [0, inf)");
     cumulative.push_back(w + (cumulative.empty() ? 0.0 : cumulative.back()));
   }
   if (!cumulative.empty() && cumulative.back() <= 0.0)

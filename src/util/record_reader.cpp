@@ -14,6 +14,27 @@ constexpr std::string_view kBlanks = " \t\r\v\f";
 
 }  // namespace
 
+std::optional<double> parse_finite(std::string_view token) {
+  double value = 0.0;
+  const auto [end, error] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (error != std::errc{} || end != token.data() + token.size() ||
+      !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
+
+std::optional<std::uint64_t> parse_count(std::string_view token,
+                                         std::uint64_t max) {
+  std::uint64_t value = 0;
+  const auto [end, error] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (error != std::errc{} || end != token.data() + token.size() ||
+      value > max)
+    return std::nullopt;
+  return value;
+}
+
 bool RecordReader::next_line() {
   while (std::getline(in_, line_)) {
     ++line_number_;
@@ -62,26 +83,19 @@ std::string_view RecordReader::word(const char* what) {
 
 double RecordReader::number(const char* what) {
   const std::string_view token = word(what);
-  double value = 0.0;
-  const auto [end, error] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (error != std::errc{} || end != token.data() + token.size() ||
-      !std::isfinite(value))
-    fail(fmt("bad {} '{}' (want a finite number)", what, token));
-  return value;
+  const std::optional<double> value = parse_finite(token);
+  if (!value) fail(fmt("bad {} '{}' (want a finite number)", what, token));
+  return *value;
 }
 
 std::uint64_t RecordReader::count_up_to(const char* what,
                                         std::uint64_t max) {
   const std::string_view token = word(what);
-  std::uint64_t value = 0;
-  const auto [end, error] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (error != std::errc{} || end != token.data() + token.size() ||
-      value > max)
+  const std::optional<std::uint64_t> value = parse_count(token, max);
+  if (!value)
     fail(fmt("bad {} '{}' (want an unsigned integer up to {})", what, token,
              max));
-  return value;
+  return *value;
 }
 
 std::string RecordReader::rest() {

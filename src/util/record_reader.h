@@ -16,12 +16,21 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
 
 namespace odn::util {
+
+// The token rules of the ODN-* formats, shared with the command-line
+// parser (util/flags.h). Each returns nothing unless std::from_chars
+// consumes the whole token: a real must also be finite, a count has no
+// sign and must not exceed `max`.
+std::optional<double> parse_finite(std::string_view token);
+std::optional<std::uint64_t> parse_count(std::string_view token,
+                                         std::uint64_t max);
 
 class RecordReader {
  public:

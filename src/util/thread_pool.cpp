@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/fmt.h"
+#include "util/record_reader.h"
 
 namespace odn::util {
 namespace {
@@ -136,19 +141,20 @@ ThreadPool& ThreadPool::shared() {
 
 namespace {
 
-// Upper bound on a requested pool size; anything larger is a config error
-// (strtoul wraps negatives to huge values) and falls back to auto.
+// ODN_THREADS: empty or 0 means auto; anything else must be a count up to
+// kMaxThreads under the flag token rules, or resolving the pool throws.
 constexpr std::size_t kMaxThreads = 1024;
 
 std::size_t env_thread_count() {
   const char* env = std::getenv("ODN_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  if (*env == '-' || *env == '+') return 0;  // signs: treat as malformed
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') return 0;  // malformed: fall through
-  if (value > kMaxThreads) return 0;
-  return static_cast<std::size_t>(value);
+  const std::optional<std::uint64_t> count = parse_count(env, kMaxThreads);
+  if (!count)
+    throw std::invalid_argument(
+        fmt("ODN_THREADS: bad value '{}' (want an integer in [0, {}]; "
+            "empty or 0 means auto)",
+            env, kMaxThreads));
+  return static_cast<std::size_t>(*count);
 }
 
 std::size_t resolve_thread_count(std::size_t requested) {

@@ -71,7 +71,9 @@ class ThreadPool {
 // The pool every parallel hot path dispatches to. Sizing, in precedence
 // order: the last set_thread_count() value, the ODN_THREADS environment
 // variable, hardware_concurrency. A size of 1 disables parallel dispatch
-// entirely (global_parallel_for runs the loop on the caller).
+// entirely (global_parallel_for runs the loop on the caller). A malformed
+// or out-of-range ODN_THREADS throws std::invalid_argument naming it from
+// whichever of these resolves it first.
 ThreadPool& global_pool();
 
 // Effective worker count of the global pool (resolving env/hardware even

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -55,6 +57,16 @@ TEST(FaultPlan, RejectsOutOfRangeCell) {
 TEST(FaultPlan, RejectsEventBeyondHorizon) {
   FaultPlan plan = tiny_plan();
   plan.events.back().time_s = 41.0;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+  plan.events.back().time_s = std::nan("");
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+}
+
+TEST(FaultPlan, RejectsNonFiniteHorizon) {
+  FaultPlan plan;  // no events: only the horizon check can fire
+  plan.horizon_s = std::nan("");
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+  plan.horizon_s = std::numeric_limits<double>::infinity();
   EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
 
@@ -109,6 +121,29 @@ TEST(FaultPlanGenerator, GeneratedPlansValidate) {
     EXPECT_NO_THROW(plan.validate());
     EXPECT_EQ(plan.cell_count, 3u);
   }
+}
+
+TEST(FaultPlanGenerator, RejectsBadOptions) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [field, value] :
+       std::vector<std::pair<double FaultPlanOptions::*, double>>{
+           {&FaultPlanOptions::horizon_s, nan},
+           {&FaultPlanOptions::horizon_s, inf},
+           {&FaultPlanOptions::mean_outage_s, nan},
+           {&FaultPlanOptions::mean_degradation_s, inf},
+           {&FaultPlanOptions::max_inflation, inf}}) {
+    FaultPlanOptions options;
+    options.*field = value;
+    EXPECT_THROW(generate_fault_plan(2, options), std::invalid_argument)
+        << value;
+  }
+  // A cell count whose (cell, class) index overflows.
+  EXPECT_THROW(generate_fault_plan(std::size_t{1} << 62),
+               std::invalid_argument);
+  EXPECT_THROW(
+      generate_fault_plan(std::numeric_limits<std::size_t>::max()),
+      std::invalid_argument);
 }
 
 TEST(FaultPlanGenerator, DeterministicForEqualSeeds) {

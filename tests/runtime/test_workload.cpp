@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -156,6 +157,16 @@ TEST(Workload, ValidateRejectsBrokenTraces) {
   trace.events = {{11.0, WorkloadEventKind::kArrival, 0, 0}};
   EXPECT_THROW(trace.validate(), std::invalid_argument);
 
+  // Event at a NaN time.
+  trace.events = {{std::nan(""), WorkloadEventKind::kArrival, 0, 0}};
+  EXPECT_THROW(trace.validate(), std::invalid_argument);
+
+  // NaN horizon, even with no events to compare against it.
+  trace.events.clear();
+  trace.horizon_s = std::nan("");
+  EXPECT_THROW(trace.validate(), std::invalid_argument);
+  trace.horizon_s = 10.0;
+
   // A well-formed trace passes.
   trace.events = {{1.0, WorkloadEventKind::kArrival, 0, 0},
                   {2.0, WorkloadEventKind::kDeparture, 0, 0}};
@@ -222,6 +233,29 @@ TEST(Workload, GeneratorRejectsBadOptions) {
   options = WorkloadOptions{};
   options.template_weights = {1.0, 2.0};  // wrong arity for 3 templates
   EXPECT_THROW(generate_workload(3, options), std::invalid_argument);
+
+  // Non-finite knobs are rejected up front: a NaN time compares false
+  // against every bound, and an infinite rate draws zero gaps forever.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [field, value] :
+       std::vector<std::pair<double WorkloadOptions::*, double>>{
+           {&WorkloadOptions::horizon_s, nan},
+           {&WorkloadOptions::horizon_s, inf},
+           {&WorkloadOptions::arrival_rate_per_s, inf},
+           {&WorkloadOptions::arrival_rate_per_s, nan},
+           {&WorkloadOptions::mean_holding_s, nan},
+           {&WorkloadOptions::burst_span_s, nan},
+           {&WorkloadOptions::burst_arrivals_mean, nan}}) {
+    options = WorkloadOptions{};
+    options.burst_count = 1;
+    options.*field = value;
+    EXPECT_THROW(generate_workload(1, options), std::invalid_argument)
+        << value;
+  }
+  options = WorkloadOptions{};
+  options.template_weights = {1.0, nan};
+  EXPECT_THROW(generate_workload(2, options), std::invalid_argument);
 }
 
 // --- QoS annotation (deadline-aware serving, src/sched/) ----------------
@@ -335,6 +369,10 @@ TEST(WorkloadQos, ValidateRejectsQosOutOfRange) {
   event.priority = 1.5;  // priority outside [0, 1]
   trace.events = {event};
   EXPECT_THROW(trace.validate(), std::invalid_argument);
+
+  event.priority = std::nan("");
+  trace.events = {event};
+  EXPECT_THROW(trace.validate(), std::invalid_argument);
 }
 
 TEST(WorkloadQos, ValidateRejectsAnnotatedDepartures) {
@@ -402,6 +440,20 @@ TEST(WorkloadQos, AnnotateRejectsBadOptions) {
   EXPECT_THROW(annotate_qos(trace, qos, 1), std::invalid_argument);
   qos = WorkloadQosOptions{};
   qos.priority_mix = {0.0, 0.0};
+  EXPECT_THROW(annotate_qos(trace, qos, 1), std::invalid_argument);
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  qos = WorkloadQosOptions{};
+  qos.mean_deadline_s = nan;
+  EXPECT_THROW(annotate_qos(trace, qos, 1), std::invalid_argument);
+  qos = WorkloadQosOptions{};
+  qos.min_deadline_s = nan;
+  EXPECT_THROW(annotate_qos(trace, qos, 1), std::invalid_argument);
+  qos = WorkloadQosOptions{};
+  qos.deadline_tightness = inf;
+  EXPECT_THROW(annotate_qos(trace, qos, 1), std::invalid_argument);
+  qos = WorkloadQosOptions{};
+  qos.priority_mix = {1.0, nan};
   EXPECT_THROW(annotate_qos(trace, qos, 1), std::invalid_argument);
 }
 

@@ -13,9 +13,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <optional>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,6 +33,7 @@
 #include "core/scenarios.h"
 #include "fault/fault_plan.h"
 #include "runtime/workload.h"
+#include "util/record_reader.h"
 #include "util/rng.h"
 
 namespace odn {
@@ -42,6 +47,11 @@ struct Format {
   // reader throws.
   std::function<std::string(const std::string&)> rewrite;
 };
+
+// GoogleTest prints the parameter into every discovered ctest name; without
+// this it dumps the struct's raw bytes, heap pointers included, so the names
+// would change from one build to the next.
+void PrintTo(const Format& format, std::ostream* os) { *os << format.name; }
 
 template <typename Read, typename Write>
 std::string rewrite_with(const std::string& text, Read read, Write write) {
@@ -260,6 +270,44 @@ TEST_P(FormatMutation, DuplicatedOrMissingHeaders) {
                      "unknown version"));
   EXPECT_TRUE(check("# leading comment\n\n" + text + "\n  \n# trailing\n",
                     "comments and blank lines"));
+}
+
+// The token rules under every ODN-* number and every command-line value
+// (util::parse_finite, util::parse_count): the whole token must parse, a
+// real must be finite, a count is unsigned and must not exceed its bound.
+TEST(TokenRules, WholeFiniteTokensAndBoundedCounts) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const struct {
+    const char* token;
+    std::optional<double> real;
+    std::optional<std::uint64_t> count;
+  } rows[] = {
+      {"0", 0.0, 0},
+      {"42", 42.0, 42},
+      {"1.5", 1.5, std::nullopt},
+      {"-1", -1.0, std::nullopt},
+      {"1e3", 1000.0, std::nullopt},
+      {"18446744073709551615", 18446744073709551615.0, kMax},
+      {"18446744073709551616", 18446744073709551616.0, std::nullopt},
+      {"+1", std::nullopt, std::nullopt},
+      {"nan", std::nullopt, std::nullopt},
+      {"inf", std::nullopt, std::nullopt},
+      {"-inf", std::nullopt, std::nullopt},
+      {"1e400", std::nullopt, std::nullopt},
+      {"30x", std::nullopt, std::nullopt},
+      {"0x10", std::nullopt, std::nullopt},
+      {"abc", std::nullopt, std::nullopt},
+      {"", std::nullopt, std::nullopt},
+      {" 1", std::nullopt, std::nullopt},
+      {"1 ", std::nullopt, std::nullopt},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(util::parse_finite(row.token), row.real) << row.token;
+    EXPECT_EQ(util::parse_count(row.token, kMax), row.count) << row.token;
+  }
+  EXPECT_EQ(util::parse_count("1024", 1024),
+            std::optional<std::uint64_t>(1024));
+  EXPECT_EQ(util::parse_count("1025", 1024), std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(

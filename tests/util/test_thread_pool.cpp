@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace odn::util {
@@ -86,6 +89,35 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
   });
   const long total = std::accumulate(partial.begin(), partial.end(), 0L);
   EXPECT_EQ(total, 3L * 256 * 257 / 2);
+}
+
+// ODN_THREADS follows the count token rules: empty or 0 is auto, anything
+// malformed or above the cap throws an error that names the variable.
+TEST(GlobalPool, ThreadEnvIsStrict) {
+  const char* saved = std::getenv("ODN_THREADS");
+  const std::optional<std::string> restore =
+      saved ? std::optional<std::string>(saved) : std::nullopt;
+  for (const char* bad : {"abc", "-1", "4x", "2000", "+2", " 2"}) {
+    ::setenv("ODN_THREADS", bad, 1);
+    try {
+      set_thread_count(0);
+      ADD_FAILURE() << "accepted ODN_THREADS=" << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("ODN_THREADS"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  for (const char* good : {"", "0", "3"}) {
+    ::setenv("ODN_THREADS", good, 1);
+    EXPECT_NO_THROW(set_thread_count(0)) << "ODN_THREADS=" << good;
+  }
+  EXPECT_EQ(global_thread_count(), 3u);
+  if (restore)
+    ::setenv("ODN_THREADS", restore->c_str(), 1);
+  else
+    ::unsetenv("ODN_THREADS");
+  set_thread_count(0);
 }
 
 }  // namespace
