@@ -1,10 +1,8 @@
 // Fig. 6 reproduction — average runtime of the optimum vs OffloaDNN in the
 // small-scale scenario as the number of inference tasks T varies (1..5).
 //
-// --trace-out / --metrics-out write a Chrome trace and a Prometheus
-// snapshot at exit (same artifacts as ODN_TRACE/ODN_METRICS, but
-// flag-driven for this pre-obs-era bench). The table on stdout is
-// unchanged either way.
+// ODN_TRACE / ODN_METRICS write a Chrome trace and a Prometheus snapshot
+// at exit (obs/session.h). The table on stdout is unchanged either way.
 #include <iostream>
 #include <string>
 
@@ -12,25 +10,17 @@
 #include "core/optimal_solver.h"
 #include "core/scenarios.h"
 #include "obs/session.h"
-#include "obs/trace.h"
 #include "util/flags.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace odn;
 
-  std::string trace_out;
-  std::string metrics_out;
+  // No flags: any argument is an error rather than silently ignored.
   util::Flags flags(argc, argv,
-                    "[--trace-out trace.json] [--metrics-out out.prom]");
-  while (flags.next()) {
-    if (flags.is("--trace-out")) trace_out = flags.text();
-    else if (flags.is("--metrics-out")) metrics_out = flags.text();
-    else flags.unknown();
-  }
-  if (!trace_out.empty()) obs::set_tracing_enabled(true);
-  if (!trace_out.empty() || !metrics_out.empty())
-    obs::register_crash_flush(trace_out, metrics_out, "");
+                    "(no flags; export with ODN_TRACE/ODN_METRICS)");
+  while (flags.next()) flags.unknown();
+  obs::EnvSession obs_session;
 
   std::cout << "=== Fig. 6: solver runtime, small-scale scenario ===\n\n";
 
@@ -68,7 +58,5 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper shape: already beyond T = 1 the optimum costs over "
                "an order of magnitude more runtime; the gap grows "
                "exponentially with T while OffloaDNN stays polynomial.\n";
-  if (!trace_out.empty() || !metrics_out.empty())
-    obs::flush_observability_artifacts();
   return 0;
 }

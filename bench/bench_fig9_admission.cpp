@@ -2,10 +2,8 @@
 // ratio under OffloaDNN (top) and SEM-O-RAN (bottom) for low / medium /
 // high request rates.
 //
-// --trace-out / --metrics-out write a Chrome trace and a Prometheus
-// snapshot at exit (same artifacts as ODN_TRACE/ODN_METRICS, but
-// flag-driven for this pre-obs-era bench). The tables on stdout are
-// unchanged either way.
+// ODN_TRACE / ODN_METRICS write a Chrome trace and a Prometheus snapshot
+// at exit (obs/session.h). The tables on stdout are unchanged either way.
 #include <iostream>
 #include <string>
 
@@ -13,25 +11,17 @@
 #include "core/offloadnn_solver.h"
 #include "core/scenarios.h"
 #include "obs/session.h"
-#include "obs/trace.h"
 #include "util/flags.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace odn;
 
-  std::string trace_out;
-  std::string metrics_out;
+  // No flags: any argument is an error rather than silently ignored.
   util::Flags flags(argc, argv,
-                    "[--trace-out trace.json] [--metrics-out out.prom]");
-  while (flags.next()) {
-    if (flags.is("--trace-out")) trace_out = flags.text();
-    else if (flags.is("--metrics-out")) metrics_out = flags.text();
-    else flags.unknown();
-  }
-  if (!trace_out.empty()) obs::set_tracing_enabled(true);
-  if (!trace_out.empty() || !metrics_out.empty())
-    obs::register_crash_flush(trace_out, metrics_out, "");
+                    "(no flags; export with ODN_TRACE/ODN_METRICS)");
+  while (flags.next()) flags.unknown();
+  obs::EnvSession obs_session;
 
   std::cout << "=== Fig. 9: per-task admission ratio, large scenario ===\n\n";
 
@@ -71,7 +61,5 @@ int main(int argc, char** argv) {
                "priority tasks are rejected. SEM-O-RAN is all-or-nothing: "
                "16 tasks at low/medium (memory-bound, no block sharing), "
                "fewer at high (RB-bound).\n";
-  if (!trace_out.empty() || !metrics_out.empty())
-    obs::flush_observability_artifacts();
   return 0;
 }

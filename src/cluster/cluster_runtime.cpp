@@ -121,16 +121,6 @@ class DispatcherSchedHost final : public sched::SchedHost {
   const core::Fingerprint* digest_;
 };
 
-// Per-priority-class metric handles, resolved once per run() so the event
-// loop increments through cached pointers instead of registry lookups.
-struct ClassCounters {
-  obs::Counter* arrivals;
-  obs::Counter* admissions;
-  obs::Counter* rejections;
-  obs::Counter* retries;
-  obs::Counter* slo_violations;
-};
-
 // Where an attempt landed: the owning cell (kNoCell when nothing admitted
 // the job), its plan, and the ladder rung that admitted it.
 struct Placement {
@@ -240,47 +230,11 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     w.peak_rbs = std::max(w.peak_rbs, ledger.rbs_used());
   };
 
-  // Global-registry metrics mirror the report accounting (DESIGN.md §6).
-  // Everything increments on this serial event loop, so snapshots are
-  // byte-identical for any ODN_THREADS. Feature metrics (faults, sched,
-  // batching, migration) only enter the registry when the feature can
-  // fire, so runs without it keep their exact series set.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  std::vector<ClassCounters> class_metrics;
-  class_metrics.reserve(class_count);
-  for (const std::string& class_name : options_.class_names) {
-    const obs::Labels labels{{"class", class_name}};
-    class_metrics.push_back(ClassCounters{
-        &registry.counter("odn_runtime_arrivals_total", labels),
-        &registry.counter("odn_runtime_admissions_total", labels),
-        &registry.counter("odn_runtime_rejections_total", labels),
-        &registry.counter("odn_runtime_retries_total", labels),
-        &registry.counter("odn_runtime_slo_violations_total", labels)});
-  }
-  obs::Counter& epochs_total = registry.counter("odn_runtime_epochs_total");
-  obs::Counter& samples_total =
-      registry.counter("odn_runtime_emulation_samples_total");
-  obs::Histogram& epoch_latency = registry.histogram(
-      "odn_runtime_epoch_latency_seconds",
-      {0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0});
-
   // Fault injection: the injector replays the plan at epoch boundaries;
   // recovery re-places displaced jobs through the dispatcher (policy +
   // spillover over the accepting cells).
   fault::FaultInjector injector(options_.faults);
   report.faults.enabled = !options_.faults.empty();
-  obs::Counter* fault_events_total = nullptr;
-  obs::Counter* fault_displaced_total = nullptr;
-  obs::Counter* fault_replacements_total = nullptr;
-  obs::Counter* fault_rejections_total = nullptr;
-  if (!injector.idle()) {
-    fault_events_total = &registry.counter("odn_fault_events_total");
-    fault_displaced_total = &registry.counter("odn_fault_displaced_total");
-    fault_replacements_total =
-        &registry.counter("odn_fault_replacements_total");
-    fault_rejections_total =
-        &registry.counter("odn_fault_rejections_total");
-  }
 
   // Preemption/deadline scheduling (src/sched/). The dispatcher's plain
   // placement is the ladder's rung 1; rungs 2-4 run on this serial loop
@@ -288,37 +242,15 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   const bool sched_on = options_.sched.enabled;
   report.sched.enabled = sched_on;
   sched::DeadlineMonitor deadline_monitor;
-  obs::Counter* sched_probes_total = nullptr;
-  obs::Counter* sched_preemptions_total = nullptr;
-  obs::Counter* sched_downgrades_total = nullptr;
-  obs::Counter* sched_readmissions_total = nullptr;
-  obs::Counter* sched_rejections_total = nullptr;
-  if (sched_on) {
-    sched_probes_total = &registry.counter("odn_sched_probes_total");
-    sched_preemptions_total =
-        &registry.counter("odn_sched_preemptions_total");
-    sched_downgrades_total =
-        &registry.counter("odn_sched_downgrades_total");
-    sched_readmissions_total =
-        &registry.counter("odn_sched_readmissions_total");
-    sched_rejections_total =
-        &registry.counter("odn_sched_ladder_rejections_total");
-  }
 
   // Epoch-boundary batching (model/batching.h).
   const bool batching_on = options_.batching.enabled;
   report.batching.enabled = batching_on;
-  obs::Counter* batch_dispatches_total = nullptr;
-  obs::Counter* batch_coalesced_total = nullptr;
   if (batching_on) {
     for (const core::DotTask& tmpl : templates_)
       for (const core::PathOption& option : tmpl.options)
         report.batching.probe_scale_min = std::min(
             report.batching.probe_scale_min, option.compute_scale);
-    batch_dispatches_total =
-        &registry.counter("odn_batch_dispatches_total");
-    batch_coalesced_total =
-        &registry.counter("odn_batch_coalesced_requests_total");
   }
 
   // SLO burn-rate alerting (obs/alerts.h) over the per-class counts of
@@ -332,16 +264,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
 
   // Flash-crowd migration needs a sibling to move to.
   const bool migration_on = options_.migrate_on_slo && cell_count > 1;
-  obs::Counter* migrations_attempted = nullptr;
-  obs::Counter* migrations_done = nullptr;
-  obs::Counter* migrations_no_target = nullptr;
-  if (migration_on) {
-    migrations_attempted =
-        &registry.counter("odn_cluster_migrations_attempted_total");
-    migrations_done = &registry.counter("odn_cluster_migrations_total");
-    migrations_no_target =
-        &registry.counter("odn_cluster_migration_no_target_total");
-  }
 
   // Flight-recorder hook: every record site sits on this serial event
   // loop, so the event stream is identical for any ODN_THREADS. One
@@ -461,7 +383,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           victim.admitted_task = outcome.task;
           victim.sched_downgraded = true;
           ++report.sched.downgrades;
-          sched_downgrades_total->inc();
           deadline_monitor.on_downgraded(victim.trace_id);
           break;
         case sched::VictimOutcome::Fate::kRestored:
@@ -477,7 +398,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           victim.attempts = 0;
           victim.cell = kNoCell;
           ++report.sched.preemptions;
-          sched_preemptions_total->inc();
           deadline_monitor.on_preempted(victim.trace_id);
           const double retry_at = now + options_.retry.retry_delay_s(1);
           if (retry_at > trace.horizon_s) break;  // preempted-pending
@@ -514,7 +434,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           host, task, candidates, options_.sched);
       report.sched.probes += ladder.probes;
       report.sched.rollbacks += ladder.rollbacks;
-      sched_probes_total->inc(ladder.probes);
       apply_victims(ladder.victims, now);
       observe_cell(cell_index);
       if (ladder.action != sched::SchedAction::kReject)
@@ -522,7 +441,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       check_conservation("after ladder rejection");
     }
     ++report.sched.ladder_rejected;
-    sched_rejections_total->inc();
     return Placement{};
   };
 
@@ -570,7 +488,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     if (route == Route::kAdmission && sched_on &&
         outcome.preferred_cell != kNoCell) {
       ++report.sched.probes;  // the placement is rung 1's one probe
-      sched_probes_total->inc();
       if (!outcome.admitted)
         placed = run_ladder(task, outcome.preferred_cell, now);
     }
@@ -585,7 +502,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         case Route::kAdmission: {
           runtime::ClassStats& stats = report.classes[job.class_index];
           ++stats.admitted;
-          class_metrics[job.class_index].admissions->inc();
           if (job.attempts == 1)
             ++stats.admitted_first_try;
           else
@@ -623,11 +539,9 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
             ++report.faults.displaced_replaced;
           else
             ++report.faults.displaced_readmitted;
-          fault_replacements_total->inc();
           break;
         case Route::kSchedReadmission:
           ++report.sched.preempted_readmitted;
-          sched_readmissions_total->inc();
           break;
       }
       flight(now, obs::FlightEventKind::kReadmission, job.trace_id, job.cell,
@@ -646,11 +560,9 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       switch (route) {
         case Route::kAdmission:
           ++report.classes[job.class_index].rejected_final;
-          class_metrics[job.class_index].rejections->inc();
           break;
         case Route::kFaultReadmission:
           ++report.faults.displaced_rejected;
-          fault_rejections_total->inc();
           detail = "fault_exhausted";
           break;
         case Route::kSchedReadmission:
@@ -671,7 +583,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     switch (route) {
       case Route::kAdmission:
         ++report.classes[job.class_index].retries_scheduled;
-        class_metrics[job.class_index].retries->inc();
         break;
       case Route::kFaultReadmission:
         ++report.faults.readmission_retries;
@@ -716,7 +627,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       job.attempts = 0;
       job.cell = kNoCell;
       ++report.faults.displaced;
-      fault_displaced_total->inc();
       if (sched_on) {
         ++report.sched.fault_displacements;
         deadline_monitor.on_preempted(job.trace_id);
@@ -741,7 +651,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     for (const fault::FaultEvent& event : events) sync_gate(event.cell);
     for (const fault::FaultEvent& event : events) {
       report.faults.record_event(event.kind);
-      fault_events_total->inc();
       flight(now, obs::FlightEventKind::kFault, obs::kNoFlightTask,
              event.cell, 0, event.magnitude,
              fault::fault_event_kind_name(event.kind));
@@ -838,8 +747,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         report.batching.coalesced_requests += measured.coalesced_requests;
         report.batching.max_batch = std::max(report.batching.max_batch,
                                              measured.max_batch_observed);
-        batch_dispatches_total->inc(measured.batch_dispatches);
-        batch_coalesced_total->inc(measured.coalesced_requests);
       }
 
       // Latency inflation scales measured samples at accounting time; a
@@ -858,16 +765,12 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
                                         : latency.latency_s * latency_factor;
           stats.latency_samples_s.push_back(measured_s);
           cell_latencies.push_back(measured_s);
-          // Emulated (virtual-time) latencies: deterministic per seed, so
-          // the histogram buckets snapshot identically across thread counts.
-          epoch_latency.observe(measured_s);
           if (measured_s > task_trace.latency_bound_s) ++violations;
         }
         stats.slo_violations += violations;
         violations_by_cell[i] += violations;
         snapshot.slo_violations += violations;
         snapshot.samples += task_trace.samples.size();
-        class_metrics[class_index].slo_violations->inc(violations);
         epoch_class_samples[class_index] += task_trace.samples.size();
         epoch_class_violations[class_index] += violations;
         if (violations > 0)
@@ -939,7 +842,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         for (const std::size_t job_index : candidates) {
           Job& job = jobs[job_index];
           ++report.migration.attempted;
-          migrations_attempted->inc();
 
           // Target order: highest normalized headroom first, index
           // breaking ties (strict > comparison keeps it deterministic).
@@ -966,7 +868,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
               job.cell = target;
               job.plan = migrated_plan;
               ++report.migration.migrated;
-              migrations_done->inc();
               ++report.cells[source].migrations_out;
               ++report.cells[target].migrations_in;
               ++snapshot.migrations;
@@ -976,15 +877,11 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
               break;
             }
           }
-          if (!moved) {
-            ++report.migration.no_target;
-            migrations_no_target->inc();
-          }
+          if (!moved) ++report.migration.no_target;
         }
       }
     }
 
-    samples_total.inc(snapshot.samples);
     flight(now, obs::FlightEventKind::kEpochSeal, obs::kNoFlightTask, kNoCell,
            snapshot.samples, static_cast<double>(snapshot.slo_violations));
 
@@ -1005,7 +902,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     snapshot.measure_wall_s = epoch_watch.elapsed_seconds();
     report.timeline.push_back(std::move(snapshot));
     ++report.epochs;
-    epochs_total.inc();
   };
 
   while (!calendar.empty()) {
@@ -1017,7 +913,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       case LoopEventKind::kArrival: {
         const Job& job = jobs[event.job];
         ++report.classes[job.class_index].arrivals;
-        class_metrics[job.class_index].arrivals->inc();
         // The arrival's value carries the admit-by deadline the monitor
         // tracks (zero when scheduling is off — no deadline semantics).
         flight(event.time, obs::FlightEventKind::kArrival, job.trace_id,
@@ -1103,6 +998,9 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     check_conservation("at end of run");
   }
   if (alert_engine) report.alerts = alert_engine->log();
+  // The finished report is the only ledger: the engine's metric series are
+  // published from it, once (DESIGN.md §6).
+  export_metrics(report, migration_on, obs::MetricsRegistry::global());
   report.run_wall_s = run_watch.elapsed_seconds();
 
   util::log_info("cluster",

@@ -3,18 +3,13 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.h"
+#include "obs/metrics.h"
+
 namespace odn::cluster {
 namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
-}
+using obs::json_escape;
 
 void write_classes_json(std::ostream& out,
                         const std::vector<runtime::ClassStats>& classes,
@@ -182,6 +177,67 @@ std::string ClusterReport::to_json() const {
   std::ostringstream out;
   write_json(out);
   return out.str();
+}
+
+void export_metrics(const ClusterReport& report, bool migration_on,
+                    obs::MetricsRegistry& registry) {
+  obs::Histogram& epoch_latency = registry.histogram(
+      "odn_runtime_epoch_latency_seconds",
+      {0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0});
+  for (const runtime::ClassStats& stats : report.aggregate_classes()) {
+    const obs::Labels labels{{"class", stats.name}};
+    registry.counter("odn_runtime_arrivals_total", labels).inc(stats.arrivals);
+    registry.counter("odn_runtime_admissions_total", labels)
+        .inc(stats.admitted);
+    registry.counter("odn_runtime_rejections_total", labels)
+        .inc(stats.rejected_final);
+    registry.counter("odn_runtime_retries_total", labels)
+        .inc(stats.retries_scheduled);
+    registry.counter("odn_runtime_slo_violations_total", labels)
+        .inc(stats.slo_violations);
+    // Emulated (virtual-time) latencies and a fixed-point sum: the buckets
+    // snapshot identically for any ODN_THREADS and any observation order.
+    for (const double latency_s : stats.latency_samples_s)
+      epoch_latency.observe(latency_s);
+  }
+  registry.counter("odn_runtime_epochs_total").inc(report.epochs);
+  std::uint64_t samples = 0;
+  for (const ClusterEpochSnapshot& epoch : report.timeline)
+    samples += epoch.samples;
+  registry.counter("odn_runtime_emulation_samples_total").inc(samples);
+
+  if (report.faults.enabled) {
+    const fault::FaultStats& f = report.faults;
+    registry.counter("odn_fault_events_total").inc(f.events_applied);
+    registry.counter("odn_fault_displaced_total").inc(f.displaced);
+    registry.counter("odn_fault_replacements_total")
+        .inc(f.displaced_replaced + f.displaced_readmitted);
+    registry.counter("odn_fault_rejections_total").inc(f.displaced_rejected);
+  }
+  if (report.sched.enabled) {
+    const sched::SchedStats& s = report.sched;
+    registry.counter("odn_sched_probes_total").inc(s.probes);
+    registry.counter("odn_sched_preemptions_total").inc(s.preemptions);
+    registry.counter("odn_sched_downgrades_total").inc(s.downgrades);
+    registry.counter("odn_sched_readmissions_total")
+        .inc(s.preempted_readmitted);
+    registry.counter("odn_sched_ladder_rejections_total")
+        .inc(s.ladder_rejected);
+  }
+  if (report.batching.enabled) {
+    registry.counter("odn_batch_dispatches_total")
+        .inc(report.batching.dispatches);
+    registry.counter("odn_batch_coalesced_requests_total")
+        .inc(report.batching.coalesced_requests);
+  }
+  if (migration_on) {
+    registry.counter("odn_cluster_migrations_attempted_total")
+        .inc(report.migration.attempted);
+    registry.counter("odn_cluster_migrations_total")
+        .inc(report.migration.migrated);
+    registry.counter("odn_cluster_migration_no_target_total")
+        .inc(report.migration.no_target);
+  }
 }
 
 }  // namespace odn::cluster

@@ -15,6 +15,10 @@
 #include "runtime/stats.h"
 #include "sched/sched_stats.h"
 
+namespace odn::obs {
+class MetricsRegistry;
+}  // namespace odn::obs
+
 namespace odn::cluster {
 
 // What happened at one cell over the run. Lifecycle fields of the
@@ -113,5 +117,15 @@ struct ClusterReport {
   void write_json(std::ostream& out) const;
   std::string to_json() const;
 };
+
+// Publishes the engine's metric series from a finished report into
+// `registry` (DESIGN.md §6 has the series-to-field table). Counters add
+// the report's totals, so repeated runs accumulate as they always did.
+// Feature series enter the registry only when the feature could fire:
+// faults with a non-empty plan, sched and batching when enabled, and
+// migration when `migration_on` (migrate_on_slo with a sibling cell), so a
+// run without them keeps its exact series set.
+void export_metrics(const ClusterReport& report, bool migration_on,
+                    obs::MetricsRegistry& registry);
 
 }  // namespace odn::cluster

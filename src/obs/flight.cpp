@@ -1,38 +1,15 @@
 #include "obs/flight.h"
 
-#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+
+#include "obs/json.h"
 
 namespace odn::obs {
 namespace {
 
 constexpr std::size_t kDefaultCapacity = 4096;
-
-// Shortest round-trip formatting, locale-independent (same helper as
-// metrics.cpp — obs sits below odn_util so it cannot use util::json_double).
-std::string format_double(double value) {
-  char buffer[64];
-  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (result.ec != std::errc{}) return "0";
-  return std::string(buffer, result.ptr);
-}
-
-std::string json_escape(const char* text) {
-  std::string out;
-  for (const char* p = text; *p != '\0'; ++p) {
-    switch (*p) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(*p);
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -100,6 +77,8 @@ void FlightRecorder::set_capacity(std::size_t capacity) {
   capacity_ = capacity;
   head_ = 0;
   count_ = 0;
+  total_ = 0;
+  dropped_ = 0;
 }
 
 std::size_t FlightRecorder::capacity() const {
@@ -158,13 +137,13 @@ void FlightRecorder::write_json(std::ostream& out) const {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FlightEvent& event = events[i];
     out << (i == 0 ? "" : ",") << "\n    {\"seq\": " << event.seq
-        << ", \"t_s\": " << format_double(event.time_s) << ", \"kind\": \""
+        << ", \"t_s\": " << json_shortest(event.time_s) << ", \"kind\": \""
         << flight_event_kind_name(event.kind) << "\"";
     if (event.task != kNoFlightTask) out << ", \"task\": " << event.task;
     if (event.cell >= 0) out << ", \"cell\": " << event.cell;
     if (event.count != 0) out << ", \"count\": " << event.count;
     if (event.value != 0.0)
-      out << ", \"value\": " << format_double(event.value);
+      out << ", \"value\": " << json_shortest(event.value);
     if (event.detail != nullptr && *event.detail != '\0')
       out << ", \"detail\": \"" << json_escape(event.detail) << "\"";
     out << "}";

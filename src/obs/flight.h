@@ -93,7 +93,9 @@ class FlightRecorder {
   void set_enabled(bool enabled) noexcept;
 
   // Retained-window size; when full the oldest event is evicted and
-  // counted as dropped. Resizing clears the buffer.
+  // counted as dropped. Resizing clears the events and the counters, like
+  // reset(), so total_recorded() == size() + dropped() holds after it and
+  // seq restarts at 0.
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
 

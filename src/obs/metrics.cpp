@@ -1,12 +1,13 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json.h"
 
 namespace odn::obs {
 namespace {
@@ -22,16 +23,6 @@ std::int64_t to_micro(double value) noexcept {
   return std::llround(scaled);
 }
 
-// Shortest round-trip formatting, locale-independent (same rationale as
-// runtime::json_double, which lives above this layer).
-std::string format_double(double value) {
-  char buffer[64];
-  const auto result =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (result.ec != std::errc{}) return "0";
-  return std::string(buffer, result.ptr);
-}
-
 // Prometheus label-value escaping: backslash, double quote and newline.
 std::string prometheus_escape(const std::string& text) {
   std::string out;
@@ -41,22 +32,6 @@ std::string prometheus_escape(const std::string& text) {
       case '\\': out += "\\\\"; break;
       case '"': out += "\\\""; break;
       case '\n': out += "\\n"; break;
-      default: out.push_back(ch);
-    }
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    switch (ch) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
       default: out.push_back(ch);
     }
   }
@@ -233,7 +208,7 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
       if (entry.counter) {
         out << name << selector << " " << entry.counter->value() << "\n";
       } else if (entry.gauge) {
-        out << name << selector << " " << format_double(entry.gauge->value())
+        out << name << selector << " " << json_shortest(entry.gauge->value())
             << "\n";
       } else if (entry.histogram) {
         const Histogram& histogram = *entry.histogram;
@@ -241,13 +216,13 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
         for (std::size_t i = 0; i < histogram.bounds().size(); ++i) {
           cumulative += histogram.bucket(i);
           out << name << "_bucket{" << key << (key.empty() ? "" : ",")
-              << "le=\"" << format_double(histogram.bounds()[i]) << "\"} "
+              << "le=\"" << json_shortest(histogram.bounds()[i]) << "\"} "
               << cumulative << "\n";
         }
         out << name << "_bucket{" << key << (key.empty() ? "" : ",")
             << "le=\"+Inf\"} " << histogram.count() << "\n";
         out << name << "_sum" << selector << " "
-            << format_double(histogram.sum()) << "\n";
+            << json_shortest(histogram.sum()) << "\n";
         out << name << "_count" << selector << " " << histogram.count()
             << "\n";
       }
@@ -279,19 +254,19 @@ void MetricsRegistry::write_json(std::ostream& out) const {
       if (entry.counter) {
         out << "\"value\": " << entry.counter->value() << "}";
       } else if (entry.gauge) {
-        out << "\"value\": " << format_double(entry.gauge->value()) << "}";
+        out << "\"value\": " << json_shortest(entry.gauge->value()) << "}";
       } else if (entry.histogram) {
         const Histogram& histogram = *entry.histogram;
         out << "\"buckets\": [";
         for (std::size_t i = 0; i < histogram.bucket_count(); ++i) {
           out << (i == 0 ? "" : ", ") << "{\"le\": ";
           if (i < histogram.bounds().size())
-            out << format_double(histogram.bounds()[i]);
+            out << json_shortest(histogram.bounds()[i]);
           else
             out << "\"+Inf\"";
           out << ", \"count\": " << histogram.bucket(i) << "}";
         }
-        out << "], \"sum\": " << format_double(histogram.sum())
+        out << "], \"sum\": " << json_shortest(histogram.sum())
             << ", \"count\": " << histogram.count() << "}";
       }
       first = false;

@@ -33,8 +33,9 @@ void atexit_flush() { flush_observability_artifacts(); }
   std::abort();
 }
 
-}  // namespace
-
+// Registers the paths to flush on exit()/std::terminate; empty strings
+// skip that artifact. Installs the hooks on first call; later calls only
+// update the paths.
 void register_crash_flush(const std::string& trace_path,
                           const std::string& metrics_path,
                           const std::string& flight_path) {
@@ -49,6 +50,8 @@ void register_crash_flush(const std::string& trace_path,
     g_prev_terminate = std::set_terminate(terminate_flush);
   }
 }
+
+}  // namespace
 
 bool flush_observability_artifacts() noexcept {
   try {

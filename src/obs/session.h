@@ -24,14 +24,6 @@
 
 namespace odn::obs {
 
-// Registers `path`s to flush on exit()/std::terminate. Empty strings skip
-// that artifact. Installs the atexit/terminate hooks on first call;
-// subsequent calls only update the paths. EnvSession calls this — direct
-// use is for mains that parse --trace-out style flags instead of env.
-void register_crash_flush(const std::string& trace_path,
-                          const std::string& metrics_path,
-                          const std::string& flight_path);
-
 // Writes every registered artifact once; later calls (and the installed
 // hooks) are no-ops. Returns true when this call performed the flush.
 bool flush_observability_artifacts() noexcept;

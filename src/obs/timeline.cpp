@@ -1,37 +1,15 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <string_view>
 
+#include "obs/json.h"
+
 namespace odn::obs {
 namespace {
-
-// Same shortest-round-trip formatting as flight.cpp / metrics.cpp.
-std::string format_double(double value) {
-  char buffer[64];
-  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (result.ec != std::errc{}) return "0";
-  return std::string(buffer, result.ptr);
-}
-
-std::string json_escape(const char* text) {
-  std::string out;
-  for (const char* p = text; *p != '\0'; ++p) {
-    switch (*p) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(*p);
-    }
-  }
-  return out;
-}
 
 bool is_downgraded_admission(const FlightEvent& event) {
   return std::string_view(event.detail) == "downgraded";
@@ -131,19 +109,19 @@ void write_timelines_json(std::ostream& out,
   for (std::size_t i = 0; i < timelines.size(); ++i) {
     const TaskTimeline& timeline = timelines[i];
     out << (i == 0 ? "" : ",") << "\n    {\"task\": " << timeline.task
-        << ", \"arrival_s\": " << format_double(timeline.arrival_s)
-        << ", \"deadline_s\": " << format_double(timeline.deadline_s)
+        << ", \"arrival_s\": " << json_shortest(timeline.arrival_s)
+        << ", \"deadline_s\": " << json_shortest(timeline.deadline_s)
         << ", \"complete\": " << (timeline.complete ? "true" : "false")
         << ", \"fate\": \"" << timeline.fate << "\",\n     \"steps\": [";
     for (std::size_t s = 0; s < timeline.steps.size(); ++s) {
       const FlightEvent& event = timeline.steps[s];
       out << (s == 0 ? "" : ",") << "\n       {\"seq\": " << event.seq
-          << ", \"t_s\": " << format_double(event.time_s) << ", \"kind\": \""
+          << ", \"t_s\": " << json_shortest(event.time_s) << ", \"kind\": \""
           << flight_event_kind_name(event.kind) << "\"";
       if (event.cell >= 0) out << ", \"cell\": " << event.cell;
       if (event.count != 0) out << ", \"count\": " << event.count;
       if (event.value != 0.0)
-        out << ", \"value\": " << format_double(event.value);
+        out << ", \"value\": " << json_shortest(event.value);
       if (event.detail != nullptr && *event.detail != '\0')
         out << ", \"detail\": \"" << json_escape(event.detail) << "\"";
       out << "}";

@@ -9,6 +9,8 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace odn::obs {
 
 namespace detail {
@@ -87,13 +89,6 @@ void write_us(std::ostream& out, std::uint64_t ns) {
   out.write(digits, result.ptr - digits);
 }
 
-void write_escaped(std::ostream& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out.put('\\');
-    out.put(*p);
-  }
-}
-
 std::vector<TraceEvent> drain_all() {
   std::vector<TraceEvent> all;
   TracerRegistry& reg = registry();
@@ -139,11 +134,9 @@ void write_trace_json(std::ostream& out) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& event = events[i];
     if (i != 0) out << ",";
-    out << "\n{\"name\":\"";
-    write_escaped(out, event.name);
-    out << "\",\"cat\":\"";
-    write_escaped(out, event.category);
-    out << "\",\"ph\":\"" << event.phase << "\",\"ts\":";
+    out << "\n{\"name\":\"" << json_escape(event.name) << "\",\"cat\":\""
+        << json_escape(event.category) << "\",\"ph\":\"" << event.phase
+        << "\",\"ts\":";
     write_us(out, event.start_ns);
     if (event.phase == 'X') {
       out << ",\"dur\":";

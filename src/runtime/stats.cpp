@@ -4,21 +4,14 @@
 #include <ostream>
 #include <sstream>
 
-#include "util/json.h"
 #include "util/mathx.h"
 
 namespace odn::runtime {
 namespace {
 
-using util::json_escape;
+using obs::json_escape;
 
 }  // namespace
-
-std::string json_double(double value) {
-  // Canonical implementation lives in util/json.h so libraries below
-  // odn_runtime (e.g. odn_sched) share the exact byte contract.
-  return util::json_double(value);
-}
 
 void ClassStats::merge_from(const ClassStats& other) {
   arrivals += other.arrivals;

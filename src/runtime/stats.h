@@ -13,6 +13,7 @@
 
 #include "fault/fault_stats.h"
 #include "obs/alerts.h"
+#include "obs/json.h"
 #include "sched/sched_stats.h"
 
 namespace odn::runtime {
@@ -49,11 +50,8 @@ struct ClassStats {
   void merge_from(const ClassStats& other);
 };
 
-// Locale-independent double formatting for the JSON reports: std::to_chars
-// with 17 significant digits round-trips every double and, unlike
-// snprintf("%.17g"), never honors the process locale's decimal separator,
-// so reports stay byte-identical (and parseable) under any LC_NUMERIC.
-std::string json_double(double value);
+// The reports' locale-independent 17-significant-digit double format.
+using obs::json_double;
 
 // Writes one ClassStats object (the per-class block of the runtime report)
 // with stable key order. `indent` is prepended to every line; the closing

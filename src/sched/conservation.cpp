@@ -5,8 +5,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "obs/json.h"
 #include "util/fmt.h"
-#include "util/json.h"
 
 namespace odn::sched {
 
@@ -71,13 +71,13 @@ std::optional<std::string> find_orphaned_resources(
   if (derived.compute_s != ledger.compute_used_s())
     return util::fmt(
         "compute mismatch: ledger holds {} s, served tasks re-derive {} s",
-        util::json_double(ledger.compute_used_s()),
-        util::json_double(derived.compute_s));
+        obs::json_double(ledger.compute_used_s()),
+        obs::json_double(derived.compute_s));
   if (derived.memory_bytes != ledger.memory_used_bytes())
     return util::fmt(
         "memory mismatch: ledger holds {} B, served tasks re-derive {} B",
-        util::json_double(ledger.memory_used_bytes()),
-        util::json_double(derived.memory_bytes));
+        obs::json_double(ledger.memory_used_bytes()),
+        obs::json_double(derived.memory_bytes));
   if (derived.rbs != ledger.rbs_used())
     return util::fmt(
         "RB mismatch: ledger holds {}, served tasks re-derive {}",

@@ -2,7 +2,7 @@
 
 #include <ostream>
 
-#include "util/json.h"
+#include "obs/json.h"
 
 namespace odn::sched {
 
@@ -45,7 +45,7 @@ void SchedStats::write_json(std::ostream& out,
   out << indent << "  \"timeline\": [\n";
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     const SchedEpochBuckets& e = timeline[i];
-    out << indent << "    {\"t_s\": " << util::json_double(e.time_s)
+    out << indent << "    {\"t_s\": " << obs::json_double(e.time_s)
         << ", \"met\": " << e.met << ", \"missed\": " << e.missed
         << ", \"preempted\": " << e.preempted
         << ", \"downgraded\": " << e.downgraded

@@ -107,10 +107,17 @@ TEST_F(FlightTest, SetCapacityClampsToOneAndClears) {
   recorder.set_capacity(0);
   EXPECT_EQ(recorder.capacity(), 1u);
   EXPECT_EQ(recorder.size(), 0u);
+  // A resize clears the counters with the events: the ring accounting
+  // holds and seq restarts.
+  EXPECT_EQ(recorder.total_recorded(), 0u);
+  EXPECT_EQ(recorder.dropped(), 0u);
   flight_record(make_event(2.0, FlightEventKind::kArrival, 2));
   flight_record(make_event(3.0, FlightEventKind::kArrival, 3));
   EXPECT_EQ(recorder.size(), 1u);
   EXPECT_EQ(recorder.snapshot().front().task, 3u);
+  EXPECT_EQ(recorder.snapshot().front().seq, 1u);
+  EXPECT_EQ(recorder.total_recorded(),
+            recorder.size() + recorder.dropped());
 }
 
 TEST_F(FlightTest, ResetClearsEventsAndCountersKeepsConfig) {

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster_stats.h"
+#include "runtime/stats.h"
 #include "runtime/workload.h"
 
 namespace odn::runtime {
@@ -94,6 +96,27 @@ TEST(Workload, SaveLoadRoundTripIsExact) {
   std::stringstream second;
   write_trace(read_trace(first), second);
   EXPECT_EQ(second.str(), first.str());
+
+  // A name with control bytes survives the round trip and reaches both
+  // report writers escaped, so the report stays valid JSON.
+  WorkloadTrace named = parsed;
+  named.name = "my\ttrace\x01" "x";
+  std::stringstream with_controls;
+  write_trace(named, with_controls);
+  const std::string reread = read_trace(with_controls).name;
+  EXPECT_EQ(reread, named.name);
+  RuntimeReport runtime_report;
+  runtime_report.trace_name = reread;
+  cluster::ClusterReport cluster_report;
+  cluster_report.trace_name = reread;
+  for (const std::string& json :
+       {runtime_report.to_json(), cluster_report.to_json()}) {
+    EXPECT_NE(json.find("\"trace\": \"my\\ttrace\\u0001x\""),
+              std::string::npos)
+        << json;
+    for (const char ch : json)
+      EXPECT_FALSE(static_cast<unsigned char>(ch) < 0x20 && ch != '\n');
+  }
 }
 
 TEST(Workload, GoldenTracePinsGeneratorDeterminism) {
