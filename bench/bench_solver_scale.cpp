@@ -2,7 +2,7 @@
 // behind the ClusterDispatcher's cost_probe policy serving T active tasks,
 // churned by a bounded fraction per epoch. Runs the identical seeded churn
 // sequence twice — cold (every cache disabled) and warm (the defaults:
-// shared cross-cell plan cache + per-cell solver memos) — times each
+// shared cross-cell plan cache + per-cell clique memos) — times each
 // epoch, and byte-compares the two admission transcripts (raw IEEE-754
 // bit patterns, no tolerance): the warm run must place every task exactly
 // as the cold run does, or the bench fails.

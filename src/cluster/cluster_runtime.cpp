@@ -862,7 +862,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           for (const std::size_t target : targets) {
             core::TaskPlan migrated_plan;
             if (dispatcher_.migrate(catalog_, job.admitted_task, job.name,
-                                    target, &migrated_plan)) {
+                                    target, &migrated_plan,
+                                    catalog_fp_ptr)) {
               flight(now, obs::FlightEventKind::kMigration, job.trace_id,
                      target, static_cast<std::uint64_t>(source));
               job.cell = target;

@@ -74,7 +74,7 @@ ClusterDispatcher::ClusterDispatcher(
 
 bool ClusterDispatcher::caching_enabled() const noexcept {
   // Cells share one Options struct (set in the constructor), so the first
-  // cell's solver memo is representative of all of them.
+  // cell's clique memo is representative of all of them.
   return plan_cache_ != nullptr ||
          (!cells_.empty() &&
           cells_.front().controller().solver_cache() != nullptr);
@@ -121,7 +121,7 @@ std::vector<double> ClusterDispatcher::probe_objectives(
   // group. The shared cache is only touched from the serial phases; only
   // distinct cache-missing sub-instances fan out to the pool, each solved
   // through probe_incremental_uncached against a different cell's private
-  // solver memo. Verdicts, per-cell admit/reject counters and cache
+  // clique memo. Verdicts, per-cell admit/reject counters and cache
   // hit/miss counts are therefore all ODN_THREADS-invariant.
   const std::vector<core::DotTask> requests{task};
   struct Group {
@@ -351,7 +351,8 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
                                 const core::DotTask& task,
                                 const std::string& task_name,
                                 std::size_t target,
-                                core::TaskPlan* migrated_plan) {
+                                core::TaskPlan* migrated_plan,
+                                const core::Fingerprint* digest) {
   ODN_TRACE_SPAN("cluster", "cluster.migrate");
   if (task.spec.name != task_name)
     throw std::invalid_argument(
@@ -365,11 +366,11 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
   // cannot change between the probe and the admission below — a positive
   // probe guarantees the re-admission lands and the task is never left
   // without a cell.
-  core::Fingerprint digest;
-  const core::Fingerprint* digest_ptr = nullptr;
-  if (caching_enabled()) {
-    digest = core::catalog_digest(catalog);
-    digest_ptr = &digest;
+  core::Fingerprint digest_local;
+  const core::Fingerprint* digest_ptr = digest;
+  if (digest_ptr == nullptr && caching_enabled()) {
+    digest_local = core::catalog_digest(catalog);
+    digest_ptr = &digest_local;
   }
   const core::DeploymentPlan probe =
       cells_[target].controller().probe_incremental(catalog, {task},

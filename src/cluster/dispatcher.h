@@ -110,10 +110,11 @@ class ClusterDispatcher {
   // release the task at its current cell and re-admit it on `target`
   // (probe == admit on the unchanged cell state, so the move can never
   // strand the task). Returns true and updates ownership on success;
-  // false leaves everything untouched.
+  // false leaves everything untouched. `digest` as in admit().
   bool migrate(const edge::DnnCatalog& catalog, const core::DotTask& task,
                const std::string& task_name, std::size_t target,
-               core::TaskPlan* migrated_plan = nullptr);
+               core::TaskPlan* migrated_plan = nullptr,
+               const core::Fingerprint* digest = nullptr);
 
   std::size_t total_active() const;
 
@@ -145,7 +146,7 @@ class ClusterDispatcher {
                                        const core::Fingerprint* digest) const;
 
   // Whether any cache that keys on the catalog is live (the shared plan
-  // cache or the cells' solver memos) — if none is, computing a catalog
+  // cache or the cells' clique memos) — if none is, computing a catalog
   // digest up front would be pure overhead on the cold path.
   bool caching_enabled() const noexcept;
 

@@ -209,7 +209,7 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
 
   // The caller catalog's digest — the one O(blocks) key component — is
   // computed at most once per plan and shared by the plan key and (through
-  // the deployed-block composition below) the solver memo keys. Callers
+  // the deployed-block composition below) the clique memo keys. Callers
   // that fan many plans out against one catalog pass it in and the encode
   // disappears entirely.
   Fingerprint caller_fp;
@@ -263,7 +263,7 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   }
   instance.finalize();
 
-  // Step 3: solve DOT (warm-started through the solver memos when on).
+  // Step 3: solve DOT (warm-started through the clique memo when on).
   // The solver keys on the *instance* catalog, which differs from the
   // caller's exactly when the deployed-block patch rebuilt it — in that
   // case the digest is composed from the caller digest and the deployed

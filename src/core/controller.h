@@ -40,8 +40,7 @@ struct CacheOptions {
   // with one shared across cells.
   bool plan_cache = true;
   std::size_t plan_capacity = 256;
-  // Memoize cliques, per-branch (z, r) sub-solutions and full solutions
-  // inside the solvers.
+  // Memoize per-task cliques inside the solvers' tree construction.
   bool solver_cache = true;
   SolverCache::Options solver{};
 };
@@ -112,8 +111,8 @@ class OffloadnnController {
                                    std::vector<DotTask> requests,
                                    const Fingerprint* digest = nullptr) const;
 
-  // probe_incremental with the plan cache bypassed (the solver memos still
-  // apply). The cluster dispatcher solves shared-cache misses through this
+  // probe_incremental with the plan cache bypassed (the clique memo still
+  // applies). The cluster dispatcher solves shared-cache misses through this
   // in parallel, keeping every access to the shared cache itself serial.
   DeploymentPlan probe_incremental_uncached(
       const edge::DnnCatalog& catalog, std::vector<DotTask> requests,

@@ -1,6 +1,5 @@
 #include "core/fingerprint.h"
 
-#include <bit>
 #include <unordered_map>
 
 namespace odn::core {
@@ -40,20 +39,6 @@ Fingerprint fingerprint_bytes(std::string_view bytes) {
     b ^= byte + 0x9e3779b97f4a7c15ull + (b << 6) + (b >> 2);
   }
   return Fingerprint{a, b};
-}
-
-void CanonicalWriter::u32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8)
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFF));
-}
-
-void CanonicalWriter::u64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8)
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFF));
-}
-
-void CanonicalWriter::f64(double value) {
-  u64(std::bit_cast<std::uint64_t>(value));
 }
 
 void CanonicalWriter::str(std::string_view value) {

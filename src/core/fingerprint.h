@@ -23,8 +23,10 @@
 // by bit pattern (no rounding), sizes as fixed-width little-endian integers.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,9 +58,9 @@ Fingerprint fingerprint_bytes(std::string_view bytes);
 class CanonicalWriter {
  public:
   void u8(std::uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
-  void u32(std::uint32_t value);
-  void u64(std::uint64_t value);
-  void f64(double value);
+  void u32(std::uint32_t value) { put(value); }
+  void u64(std::uint64_t value) { put(value); }
+  void f64(double value) { put(std::bit_cast<std::uint64_t>(value)); }
   void size(std::size_t value) { u64(static_cast<std::uint64_t>(value)); }
   void boolean(bool value) { u8(value ? 1 : 0); }
   void str(std::string_view value);
@@ -68,6 +70,21 @@ class CanonicalWriter {
   Fingerprint fingerprint() const { return fingerprint_bytes(buffer_); }
 
  private:
+  // Appends the value's little-endian bytes in one append: on a
+  // little-endian host they are its object representation; elsewhere the
+  // bytes are peeled off low to high.
+  template <typename UInt>
+  void put(UInt value) {
+    char bytes[sizeof(UInt)];
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(bytes, &value, sizeof(UInt));
+    } else {
+      for (std::size_t i = 0; i < sizeof(UInt); ++i)
+        bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+    buffer_.append(bytes, sizeof(UInt));
+  }
+
   std::string buffer_;
 };
 

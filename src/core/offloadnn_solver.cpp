@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "core/branch_optimizer.h"
-#include "core/fingerprint.h"
-#include "core/solver_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
@@ -72,35 +70,6 @@ std::vector<TreeVertex> ordered_clique(std::span<const TreeVertex> clique,
   return vertices;
 }
 
-// Branch-memo key prefix: everything BranchOptimizer::optimize +
-// DotEvaluator::evaluate read besides the per-task choices — the globals,
-// the catalog (as its precomputed digest) and every task's encoding
-// (rejected tasks still enter the objective through their priority and
-// rate). 'B' tags the key space.
-std::string branch_key_prefix(const DotInstance& instance,
-                              const Fingerprint& catalog_digest) {
-  CanonicalWriter writer;
-  writer.u8(0x42);  // 'B'
-  writer.f64(instance.alpha);
-  encode_resources(writer, instance.resources);
-  encode_radio(writer, instance.radio);
-  writer.u64(catalog_digest.hi);
-  writer.u64(catalog_digest.lo);
-  encode_task_set(writer, instance.tasks);
-  return writer.take();
-}
-
-std::string branch_key(const std::string& prefix,
-                       const std::vector<BranchChoice>& choices) {
-  CanonicalWriter writer;
-  writer.size(choices.size());
-  for (const BranchChoice& choice : choices) {
-    writer.boolean(choice.has_value());
-    writer.size(choice.has_value() ? *choice : 0);
-  }
-  return prefix + writer.take();
-}
-
 }  // namespace
 
 OffloadnnSolver::OffloadnnSolver(OffloadnnOptions options)
@@ -125,54 +94,18 @@ DotSolution OffloadnnSolver::solve(const DotInstance& instance,
   util::Stopwatch watch;
   SolverMetrics& metrics = SolverMetrics::instance();
 
-  // The catalog is the one O(blocks) key component; encode it at most once
-  // per solve (not at all when the caller precomputed it) and share the
-  // digest across the solve key, the branch-memo prefix and the tree's
-  // clique keys.
-  Fingerprint digest;
-  std::string solve_key;
-  if (cache != nullptr) {
-    digest = catalog_fp != nullptr ? *catalog_fp
-                                   : catalog_digest(instance.catalog);
-    CanonicalWriter writer;
-    writer.u8(0x4F);  // 'O': this solver's full-solve key space
-    writer.u8(static_cast<std::uint8_t>(options_.ordering));
-    writer.size(options_.beam_width);
-    writer.f64(instance.alpha);
-    encode_resources(writer, instance.resources);
-    encode_radio(writer, instance.radio);
-    writer.u64(digest.hi);
-    writer.u64(digest.lo);
-    writer.size(instance.catalog.block_count());
-    encode_task_set(writer, instance.tasks);
-    solve_key = writer.take();
-    if (const DotSolution* hit = cache->find_solve(solve_key)) {
-      ODN_TRACE_SPAN("solver", "solver.warm");
-      metrics.solves.inc();
-      DotSolution solution = *hit;
-      solution.solve_time_s = watch.elapsed_seconds();
-      return solution;
-    }
-  }
-
-  const SolutionTree tree(instance, cache, cache != nullptr ? &digest
-                                                            : nullptr);
+  const SolutionTree tree(instance, cache, catalog_fp);
   metrics.solves.inc();
   metrics.cliques_built.inc(tree.num_layers());
-  std::string branch_prefix;
-  if (cache != nullptr) branch_prefix = branch_key_prefix(instance, digest);
-  DotSolution solution =
-      options_.beam_width == 1
-          ? solve_first_branch(instance, tree, cache, branch_prefix)
-          : solve_beam(instance, tree, cache, branch_prefix);
+  DotSolution solution = options_.beam_width == 1
+                             ? solve_first_branch(instance, tree)
+                             : solve_beam(instance, tree);
   solution.solve_time_s = watch.elapsed_seconds();
-  if (cache != nullptr) cache->insert_solve(std::move(solve_key), solution);
   return solution;
 }
 
 DotSolution OffloadnnSolver::solve_first_branch(
-    const DotInstance& instance, const SolutionTree& tree, SolverCache* cache,
-    const std::string& branch_prefix) const {
+    const DotInstance& instance, const SolutionTree& tree) const {
   std::vector<BranchChoice> choices(instance.tasks.size());
   std::vector<std::uint32_t> block_use(instance.catalog.block_count(), 0);
   double memory_used = 0.0;
@@ -212,33 +145,15 @@ DotSolution OffloadnnSolver::solve_first_branch(
   solution.solver_name = "OffloaDNN";
   solution.branches_explored = 1;
 
-  std::string key;
-  if (cache != nullptr) {
-    key = branch_key(branch_prefix, choices);
-    if (const SolverCache::BranchEntry* hit = cache->find_branch(key)) {
-      ODN_TRACE_SPAN("solver", "solver.warm");
-      solution.decisions = hit->decisions;
-      solution.cost = hit->cost;
-      return solution;
-    }
-  }
-
   const BranchOptimizer optimizer(instance);
   const DotEvaluator evaluator(instance);
   solution.decisions = optimizer.optimize(choices);
   solution.cost = evaluator.evaluate(solution.decisions);
-  if (cache != nullptr)
-    cache->insert_branch(
-        std::move(key),
-        SolverCache::BranchEntry{solution.decisions, solution.cost});
   return solution;
 }
 
 DotSolution OffloadnnSolver::solve_beam(const DotInstance& instance,
-                                        const SolutionTree& tree,
-                                        SolverCache* cache,
-                                        const std::string& branch_prefix)
-    const {
+                                        const SolutionTree& tree) const {
   struct PartialBranch {
     std::vector<BranchChoice> choices;
     std::vector<std::uint32_t> block_use;
@@ -310,42 +225,19 @@ DotSolution OffloadnnSolver::solve_beam(const DotInstance& instance,
   const BranchOptimizer optimizer(instance);
   const DotEvaluator evaluator(instance);
 
-  // The per-branch (z, r) optimizations are independent; memo-resolved
-  // branches are settled serially up front (keeping every cache access
-  // off the pool), the rest fan out over the pool, and the results are
-  // min-reduced in beam order with strict '<', which matches the serial
-  // loop's tie-breaking exactly for any thread count.
+  // The per-branch (z, r) optimizations are independent: they fan out
+  // over the pool, and the results are min-reduced in beam order with
+  // strict '<', which matches the serial loop's tie-breaking exactly for
+  // any thread count.
   struct BranchResult {
     std::vector<TaskDecision> decisions;
     CostBreakdown cost;
   };
   std::vector<BranchResult> optimized(beam.size());
-  std::vector<std::string> keys(beam.size());
-  std::vector<std::size_t> pending;
-  pending.reserve(beam.size());
-  for (std::size_t i = 0; i < beam.size(); ++i) {
-    if (cache != nullptr) {
-      keys[i] = branch_key(branch_prefix, beam[i].choices);
-      if (const SolverCache::BranchEntry* hit =
-              cache->find_branch(keys[i])) {
-        optimized[i].decisions = hit->decisions;
-        optimized[i].cost = hit->cost;
-        continue;
-      }
-    }
-    pending.push_back(i);
-  }
-  util::global_parallel_for(pending.size(), [&](std::size_t k) {
-    const std::size_t i = pending[k];
+  util::global_parallel_for(beam.size(), [&](std::size_t i) {
     optimized[i].decisions = optimizer.optimize(beam[i].choices);
     optimized[i].cost = evaluator.evaluate(optimized[i].decisions);
   });
-  if (cache != nullptr)
-    for (const std::size_t i : pending)
-      cache->insert_branch(
-          std::move(keys[i]),
-          SolverCache::BranchEntry{optimized[i].decisions,
-                                   optimized[i].cost});
 
   DotSolution best;
   best.solver_name = "OffloaDNN-beam";

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "core/solution.h"
 #include "core/tree.h"
@@ -45,11 +44,11 @@ class OffloadnnSolver {
   explicit OffloadnnSolver(OffloadnnOptions options = {});
 
   DotSolution solve(const DotInstance& instance) const;
-  // Warm-startable solve: `cache` memoizes cliques, per-branch (z, r)
-  // sub-solutions and full solutions across calls (DESIGN.md §8). The
-  // result is bit-identical to the cold overload for any cache state —
-  // keys are exact instance encodings, so a hit proves equality. Pass the
-  // owning controller's cache from serial contexts only.
+  // Warm-startable solve: `cache` memoizes per-task cliques across calls
+  // (DESIGN.md §8). The result is bit-identical to the cold overload for
+  // any cache state — keys are exact (catalog, task) encodings, so a hit
+  // proves equality. Pass the owning controller's cache from serial
+  // contexts only.
   DotSolution solve(const DotInstance& instance, SolverCache* cache) const;
   // As above, with the instance catalog's key digest precomputed by the
   // caller — the one O(blocks) key component, so callers that already know
@@ -62,11 +61,9 @@ class OffloadnnSolver {
 
  private:
   DotSolution solve_first_branch(const DotInstance& instance,
-                                 const SolutionTree& tree, SolverCache* cache,
-                                 const std::string& branch_prefix) const;
+                                 const SolutionTree& tree) const;
   DotSolution solve_beam(const DotInstance& instance,
-                         const SolutionTree& tree, SolverCache* cache,
-                         const std::string& branch_prefix) const;
+                         const SolutionTree& tree) const;
 
   OffloadnnOptions options_;
 };

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "core/branch_optimizer.h"
-#include "core/fingerprint.h"
-#include "core/solver_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fmt.h"
@@ -173,37 +171,7 @@ DotSolution OptimalSolver::solve(const DotInstance& instance,
   ODN_TRACE_SPAN("solver", "solver.optimal");
   util::Stopwatch watch;
 
-  // At most one catalog encode per solve (none when the caller precomputed
-  // the digest — see OffloadnnSolver::solve): the digest feeds the solve
-  // key here and the tree's clique keys below.
-  Fingerprint digest;
-  std::string solve_key;
-  if (cache != nullptr) {
-    digest = catalog_fp != nullptr ? *catalog_fp
-                                   : catalog_digest(instance.catalog);
-    CanonicalWriter writer;
-    writer.u8(0x58);  // 'X': this solver's full-solve key space
-    writer.boolean(options_.bound_pruning);
-    writer.f64(options_.max_branches);
-    writer.f64(instance.alpha);
-    encode_resources(writer, instance.resources);
-    encode_radio(writer, instance.radio);
-    writer.u64(digest.hi);
-    writer.u64(digest.lo);
-    writer.size(instance.catalog.block_count());
-    encode_task_set(writer, instance.tasks);
-    solve_key = writer.take();
-    if (const DotSolution* hit = cache->find_solve(solve_key)) {
-      ODN_TRACE_SPAN("solver", "solver.warm");
-      OptimalMetrics::instance().solves.inc();
-      DotSolution solution = *hit;
-      solution.solve_time_s = watch.elapsed_seconds();
-      return solution;
-    }
-  }
-
-  const SolutionTree tree(instance, cache, cache != nullptr ? &digest
-                                                            : nullptr);
+  const SolutionTree tree(instance, cache, catalog_fp);
 
   // Include the skip child in the size estimate.
   double branches = 1.0;
@@ -320,7 +288,6 @@ DotSolution OptimalSolver::solve(const DotInstance& instance,
   solution.cost = evaluator.evaluate(solution.decisions);
   solution.solve_time_s = watch.elapsed_seconds();
   solution.branches_explored = branches_explored;
-  if (cache != nullptr) cache->insert_solve(std::move(solve_key), solution);
   return solution;
 }
 

@@ -32,14 +32,12 @@ class OptimalSolver {
   explicit OptimalSolver(OptimalSolverOptions options = {});
 
   DotSolution solve(const DotInstance& instance) const;
-  // Warm-startable solve: `cache` memoizes per-task cliques and complete
-  // solutions (no per-leaf memo — the exhaustive DFS revisits each leaf
-  // once, so a leaf-level lookup would cost more than it saves). Results
-  // are bit-identical to the cold overload; see DESIGN.md §8.
+  // Warm-startable solve: `cache` memoizes per-task cliques. Results are
+  // bit-identical to the cold overload; see DESIGN.md §8.
   DotSolution solve(const DotInstance& instance, SolverCache* cache) const;
   // As above with the instance catalog's key digest precomputed by the
   // caller (see OffloadnnSolver::solve): skips the O(blocks) catalog
-  // encode, the dominant warm-path cost at bench scale.
+  // encode the clique keys otherwise pay.
   DotSolution solve(const DotInstance& instance, SolverCache* cache,
                     const Fingerprint* catalog_fp) const;
 

@@ -1,25 +1,22 @@
-// Per-controller memoization inside the DOT solvers (DESIGN.md §8):
+// Per-controller memoization inside the DOT solvers (DESIGN.md §8): the
+// clique memo. A task's filtered-and-sorted clique depends only on the
+// (catalog, task) encoding, not on the rest of the instance, so tree
+// construction reuses cliques across epochs and across sibling instances
+// (the stored vertices are task_index-free; the tree patches the index on
+// reuse).
 //
-//  - clique memo: a task's filtered-and-sorted clique depends only on the
-//    (catalog, task) encoding, not on the rest of the instance, so tree
-//    construction reuses cliques across epochs and across sibling
-//    instances (the stored vertices are task_index-free; the tree patches
-//    the index on reuse);
-//  - branch (z, r) memo: BranchOptimizer::optimize + evaluate is a pure
-//    function of (globals, decision-vector size, the chosen (task,
-//    option) pairs) — rejected/skipped tasks don't enter the optimization
-//    — so beam branches and first-fit branches reuse sub-solutions even
-//    when tasks outside the chosen set churned;
-//  - full-solve memo: the complete DotSolution keyed by solver options +
-//    the whole instance encoding (the warm path for unchanged epochs).
+// Whole solves and per-branch (z, r) sub-solutions are not memoized here:
+// every key they could hit on encodes the full instance, and the plan
+// cache in front of the solver (core/plan_cache.h) already answers each
+// such repeat before the solver runs.
 //
-// All keys are exact canonical encodings (core/fingerprint.h), except that
-// the clique/branch keys compress their catalog component to the 128-bit
-// digest of its exact encoding (a process works against a handful of
-// catalogs; the differential suite hammers exactly this compression). The
-// cache is owned by one controller and must only be touched from serial
-// sections — solvers look memos up before and insert after any parallel
-// fan-out, which keeps hit/miss counts ODN_THREADS-invariant.
+// Keys are exact canonical encodings (core/fingerprint.h), except that the
+// catalog component is compressed to the 128-bit digest of its exact
+// encoding (a process works against a handful of catalogs; the
+// differential suite hammers exactly this compression). The cache is owned
+// by one controller and must only be touched from serial sections — tree
+// construction looks cliques up before any parallel fan-out, which keeps
+// hit/miss counts ODN_THREADS-invariant.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +26,6 @@
 #include <vector>
 
 #include "core/lru_map.h"
-#include "core/solution.h"
 #include "core/tree.h"
 
 namespace odn::core {
@@ -37,10 +33,6 @@ namespace odn::core {
 struct SolverCacheStats {
   std::uint64_t clique_hits = 0;
   std::uint64_t clique_misses = 0;
-  std::uint64_t branch_hits = 0;
-  std::uint64_t branch_misses = 0;
-  std::uint64_t solve_hits = 0;
-  std::uint64_t solve_misses = 0;
   std::uint64_t evictions = 0;
 };
 
@@ -48,8 +40,6 @@ class SolverCache {
  public:
   struct Options {
     std::size_t clique_capacity = 4096;
-    std::size_t branch_capacity = 2048;
-    std::size_t solve_capacity = 128;
   };
 
   SolverCache();
@@ -65,24 +55,11 @@ class SolverCache {
   const CliqueEntry* find_clique(std::string_view key);
   void insert_clique(std::string key, CliqueEntry entry);
 
-  // One optimized branch: the (z, r) decisions and their evaluated cost.
-  struct BranchEntry {
-    std::vector<TaskDecision> decisions;
-    CostBreakdown cost;
-  };
-  const BranchEntry* find_branch(std::string_view key);
-  void insert_branch(std::string key, BranchEntry entry);
-
-  const DotSolution* find_solve(std::string_view key);
-  void insert_solve(std::string key, const DotSolution& solution);
-
   SolverCacheStats stats() const noexcept;
   void clear();
 
  private:
   LruMap<CliqueEntry> cliques_;
-  LruMap<BranchEntry> branches_;
-  LruMap<DotSolution> solves_;
   SolverCacheStats stats_;
 };
 

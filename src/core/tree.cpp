@@ -14,7 +14,7 @@ namespace {
 // Clique-memo key: a task's clique depends only on the task itself and the
 // catalog (spec thresholds filter, catalog times/memory sort), so the key
 // is the exact task encoding prefixed with the catalog digest. 'Q' tags
-// the key space apart from the branch/solve memos sharing the cache.
+// the key space.
 std::string clique_key(const Fingerprint& catalog_digest,
                        const DotTask& task) {
   CanonicalWriter writer;

@@ -2,7 +2,9 @@
 // migration primitive and the serial-vs-parallel cost_probe contract.
 #include <gtest/gtest.h>
 
+#include "../core/solver_equivalence.h"
 #include "cluster/dispatcher.h"
+#include "core/fingerprint.h"
 #include "core/scenarios.h"
 #include "util/thread_pool.h"
 
@@ -187,6 +189,34 @@ TEST_F(DispatcherTest, MigrateRefusesWithoutViableTarget) {
   EXPECT_FALSE(dispatcher.migrate(instance_.catalog, task, "t0", 0));
   const core::DotTask ghost = named_task(1, "ghost");
   EXPECT_FALSE(dispatcher.migrate(instance_.catalog, ghost, "ghost", 1));
+}
+
+// A caller-supplied catalog digest only spares the encode: with or without
+// it, migrate returns the same verdict, the same plan and the same owner.
+TEST_F(DispatcherTest, MigrateWithDigestMatchesWithout) {
+  const core::Fingerprint digest = core::catalog_digest(instance_.catalog);
+  const auto run = [&](std::vector<CellSpec> cells,
+                       const core::Fingerprint* fp) {
+    ClusterDispatcher dispatcher(std::move(cells), instance_.radio, {},
+                                 {.policy = PlacementPolicy::kFirstFit});
+    const core::DotTask task = named_task(0, "t0");
+    EXPECT_TRUE(dispatcher.admit(instance_.catalog, task).admitted);
+    core::TaskPlan plan;
+    const bool moved =
+        dispatcher.migrate(instance_.catalog, task, "t0", 1, &plan, fp);
+    return std::to_string(moved) + "|" +
+           std::to_string(dispatcher.owner_of("t0")) + "|" +
+           odn::testing::serialize_task_plan(plan);
+  };
+  const std::string moved = run(equal_cells(2), nullptr);
+  EXPECT_EQ(moved.substr(0, 4), "1|1|");
+  EXPECT_EQ(run(equal_cells(2), &digest), moved);
+
+  std::vector<CellSpec> starved{CellSpec{"healthy", instance_.resources},
+                                starved_cell("starved")};
+  const std::string refused = run(starved, nullptr);
+  EXPECT_EQ(refused.substr(0, 4), "0|0|");
+  EXPECT_EQ(run(starved, &digest), refused);
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ inline std::string serialize_cost(const core::CostBreakdown& cost) {
 }
 
 // Everything except solve_time_s (wall-clock; the only field warm paths
-// may change). branches_explored is included: the full-solve memo must
+// may change). branches_explored is included: a plan-cache hit must
 // replay the populating run's count exactly.
 inline std::string serialize_solution(const core::DotSolution& solution) {
   std::string out = solution.solver_name + "|";
@@ -127,6 +127,9 @@ struct ChurnConfig {
   std::uint64_t seed = 1;
   std::size_t steps = 200;
   bool use_optimal_solver = false;
+  // Heuristic beam width (1 = the paper's first branch); > 1 runs the
+  // parallel per-branch (z, r) fan-out with the caches on.
+  std::size_t beam_width = 1;
   // Mid-sequence radio swap (fault churn): exercises key invalidation —
   // a changed radio must never hit a pre-change cache entry.
   bool swap_radio = true;
@@ -137,12 +140,15 @@ struct ChurnConfig {
 // between the warm (caches on) and cold (caches off) controllers, plus
 // constraint invariants on every warm plan. Repeated probes re-run on the
 // warm controller must also replay their own bytes (the plan-cache hit
-// path).
-inline void run_churn_differential(const ChurnConfig& config) {
+// path). `warm_memo`, when given, receives the warm controller's clique-memo
+// counters after the last step.
+inline void run_churn_differential(
+    const ChurnConfig& config, core::SolverCacheStats* warm_memo = nullptr) {
   const core::DotInstance world =
       core::testing::random_instance(config.seed);
   core::OffloadnnController::Options warm_options;
   warm_options.use_optimal_solver = config.use_optimal_solver;
+  warm_options.heuristic.beam_width = config.beam_width;
   warm_options.alpha = world.alpha;
   core::OffloadnnController::Options cold_options = warm_options;
   cold_options.cache.plan_cache = false;
@@ -215,6 +221,7 @@ inline void run_churn_differential(const ChurnConfig& config) {
     ASSERT_EQ(serialize_state(warm), serialize_state(cold))
         << "committed state diverged";
   }
+  if (warm_memo != nullptr) *warm_memo = warm.solver_cache()->stats();
 }
 
 }  // namespace odn::testing

@@ -4,13 +4,20 @@
 //    encoding (a mutation fuzzer sweeps every field the solve reads);
 //  - name-blindness: renames never change the bytes, duplicate names do
 //    (the validate_tasks partition);
-//  - finalize-independence: pre- and post-finalize tasks encode equally.
+//  - finalize-independence: pre- and post-finalize tasks encode equally;
+//  - layout: the writer's bytes and one controller probe key are pinned,
+//    so any drift in the key layout fails here first.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "core/controller.h"
 #include "core/fingerprint.h"
+#include "core/scenarios.h"
 #include "fuzz_instances.h"
 
 namespace odn::core {
@@ -180,6 +187,70 @@ TEST(Fingerprint, WriterIsCanonical) {
   const Fingerprint y = fingerprint_bytes("y");
   EXPECT_NE(x.hi, y.hi);
   EXPECT_NE(x.lo, y.lo);
+}
+
+std::string hex_bytes(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<std::uint8_t>(c);
+    out.push_back(kDigits[byte >> 4]);
+    out.push_back(kDigits[byte & 0xF]);
+  }
+  return out;
+}
+
+template <typename Write>
+std::string written(Write write) {
+  CanonicalWriter writer;
+  write(writer);
+  return hex_bytes(writer.bytes());
+}
+
+// Fixed-width little-endian integers and bit-pattern doubles, whatever the
+// host's byte order.
+TEST(Fingerprint, WriterByteLayoutIsPinned) {
+  EXPECT_EQ(written([](CanonicalWriter& w) { w.u8(0xA5); }), "a5");
+  EXPECT_EQ(written([](CanonicalWriter& w) { w.boolean(true); }), "01");
+  EXPECT_EQ(written([](CanonicalWriter& w) { w.u32(0x01020304u); }),
+            "04030201");
+  EXPECT_EQ(
+      written([](CanonicalWriter& w) { w.u64(0x0102030405060708ull); }),
+      "0807060504030201");
+  EXPECT_EQ(written([](CanonicalWriter& w) { w.size(0x0A0B); }),
+            "0b0a000000000000");
+  EXPECT_EQ(written([](CanonicalWriter& w) { w.str("ab"); }),
+            "02000000000000006162");
+  EXPECT_EQ(written([](CanonicalWriter& w) { w.f64(-0.0); }),
+            "0000000000000080");
+  EXPECT_EQ(written([](CanonicalWriter& w) {
+              w.f64(std::numeric_limits<double>::denorm_min());
+            }),
+            "0100000000000000");
+  EXPECT_EQ(written([](CanonicalWriter& w) {
+              w.f64(std::bit_cast<double>(0x7FF8000000000123ull));
+            }),
+            "230100000000f87f");
+  EXPECT_EQ(written([](CanonicalWriter& w) {
+              w.u8(1);
+              w.u32(2);
+              w.f64(1.0);
+            }),
+            "0102000000000000000000f03f");
+}
+
+// The plan-cache key of one large-scenario task against an empty
+// controller. Every probe, plan-cache hit and clique key is built by the
+// same writer, so a change here means every cache key moved.
+TEST(Fingerprint, ProbeCacheKeyIsPinned) {
+  const DotInstance scenario = make_large_scenario(RequestRate::kMedium);
+  ASSERT_FALSE(scenario.tasks.empty());
+  const OffloadnnController controller(scenario.resources, scenario.radio);
+  const std::string key =
+      controller.probe_cache_key(scenario.catalog, {scenario.tasks[0]});
+  EXPECT_EQ(key.size(), 713u);
+  EXPECT_EQ(fingerprint_bytes(key).hex(), "6a84b15837706f3aeb3872d08c5bee1c");
+  EXPECT_EQ(catalog_digest(scenario.catalog).hex(), "5d8adf1972b61b354ee3d4a2073200a9");
 }
 
 }  // namespace

@@ -145,8 +145,6 @@ TEST(PlanCache, EvictionPressureDoesNotChangePlans) {
     options.alpha = world.alpha;
     options.cache.plan_capacity = capacity;
     options.cache.solver.clique_capacity = capacity;
-    options.cache.solver.branch_capacity = capacity;
-    options.cache.solver.solve_capacity = capacity;
     OffloadnnController controller(world.resources, world.radio, options);
     std::string log;
     for (std::size_t step = 0; step < 40; ++step) {

@@ -24,14 +24,32 @@ class WarmStartEquivalence : public ::testing::Test {
 
 TEST_F(WarmStartEquivalence, HeuristicSerialChurn) {
   util::set_thread_count(1);
-  for (const std::uint64_t seed : {3u, 11u})
-    run_churn_differential({.seed = seed, .steps = 200});
+  for (const std::uint64_t seed : {3u, 11u}) {
+    core::SolverCacheStats memo;
+    run_churn_differential({.seed = seed, .steps = 200}, &memo);
+    // The clique memo, the one memo inside the solvers, must stay live.
+    EXPECT_GT(memo.clique_hits, 0u) << "seed " << seed;
+  }
 }
 
 TEST_F(WarmStartEquivalence, HeuristicParallelChurn) {
   util::set_thread_count(4);
   for (const std::uint64_t seed : {3u, 11u})
     run_churn_differential({.seed = seed, .steps = 200});
+}
+
+// Beam search fans its per-branch (z, r) optimizations out over the pool;
+// with the caches on it must still match the cold controller byte for byte.
+TEST_F(WarmStartEquivalence, HeuristicBeamSerialChurn) {
+  util::set_thread_count(1);
+  for (const std::uint64_t seed : {3u, 11u})
+    run_churn_differential({.seed = seed, .steps = 200, .beam_width = 4});
+}
+
+TEST_F(WarmStartEquivalence, HeuristicBeamParallelChurn) {
+  util::set_thread_count(4);
+  for (const std::uint64_t seed : {3u, 11u})
+    run_churn_differential({.seed = seed, .steps = 200, .beam_width = 4});
 }
 
 TEST_F(WarmStartEquivalence, OptimalSerialChurn) {
