@@ -290,7 +290,7 @@ void write_sweep_json(std::ostream& out, const Config& c,
 void write_perf_json(const std::string& path, const Config& c,
                      const runtime::RuntimeReport& report) {
   std::vector<double> measure_s;
-  for (const runtime::EpochSnapshot& e : report.timeline)
+  for (const cluster::ClusterEpochSnapshot& e : report.timeline)
     measure_s.push_back(e.measure_wall_s);
   const double mean_s = util::mean(measure_s);
   const double p99_s =

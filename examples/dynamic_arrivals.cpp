@@ -111,7 +111,9 @@ int main(int argc, char** argv) {
   churn.set_header({"class", "arrivals", "admitted", "via retry",
                     "downgraded", "rejected", "departed", "p95 [ms]",
                     "SLO viol."});
-  for (const runtime::ClassStats& c : report.classes) {
+  // Departures and measured latency live on the server's cell; the
+  // aggregate merges them with the admission lifecycle.
+  for (const runtime::ClassStats& c : report.aggregate_classes()) {
     churn.add_row({c.name, std::to_string(c.arrivals),
                    std::to_string(c.admitted),
                    std::to_string(c.admitted_after_retry),
@@ -123,18 +125,20 @@ int main(int argc, char** argv) {
   }
   churn.print(std::cout);
 
+  const cluster::CellReport& server = report.cells.at(0);
+
   std::cout << "\nProcessed " << report.events_processed << " events ("
             << trace.arrival_count() << " arrivals, "
             << trace.departure_count() << " departures, " << report.epochs
             << " measurement epochs). Peak watermarks: "
-            << util::Table::num(report.watermarks.peak_memory_bytes / 1e9, 2)
-            << " GB memory, " << report.watermarks.peak_rbs << "/"
-            << report.watermarks.rb_capacity << " RBs, "
-            << util::Table::num(report.watermarks.peak_compute_s, 2) << "/"
-            << util::Table::num(report.watermarks.compute_capacity_s, 2)
+            << util::Table::num(server.watermarks.peak_memory_bytes / 1e9, 2)
+            << " GB memory, " << server.watermarks.peak_rbs << "/"
+            << server.watermarks.rb_capacity << " RBs, "
+            << util::Table::num(server.watermarks.peak_compute_s, 2) << "/"
+            << util::Table::num(server.watermarks.compute_capacity_s, 2)
             << " s/s compute. " << report.active_at_end
             << " jobs still active at the horizon hold "
-            << report.deployed_blocks_at_end
+            << server.deployed_blocks_at_end
             << " deployed blocks.\nHigher-priority classes are admitted "
                "first by the DOT objective; rejected jobs back off, retry, "
                "and on the final attempt may relax their accuracy bound "

@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -37,6 +38,34 @@ void write_watermarks_json(std::ostream& out,
       << runtime::json_double(w.compute_capacity_s) << ",\n";
   out << indent << "  \"rb_capacity\": " << w.rb_capacity << "\n";
   out << indent << "}";
+}
+
+// The optional feature blocks, each written only when its feature was on
+// so a run without it keeps its exact bytes.
+void write_feature_blocks(std::ostream& out, const ClusterReport& report) {
+  if (report.faults.enabled) {
+    out << "  \"faults\": ";
+    report.faults.write_json(out, "  ");
+    out << ",\n";
+  }
+
+  if (report.sched.enabled) {
+    out << "  \"sched\": ";
+    report.sched.write_json(out, "  ");
+    out << ",\n";
+  }
+
+  if (report.batching.enabled) {
+    out << "  \"batching\": ";
+    report.batching.write_json(out, "  ");
+    out << ",\n";
+  }
+
+  if (report.alerts.enabled) {
+    out << "  \"alerts\": ";
+    runtime::write_alert_log_json(out, report.alerts, "  ");
+    out << ",\n";
+  }
 }
 
 }  // namespace
@@ -143,29 +172,7 @@ void ClusterReport::write_json(std::ostream& out) const {
   }
   out << "  ],\n";
 
-  if (faults.enabled) {
-    out << "  \"faults\": ";
-    faults.write_json(out, "  ");
-    out << ",\n";
-  }
-
-  if (sched.enabled) {
-    out << "  \"sched\": ";
-    sched.write_json(out, "  ");
-    out << ",\n";
-  }
-
-  if (batching.enabled) {
-    out << "  \"batching\": ";
-    batching.write_json(out, "  ");
-    out << ",\n";
-  }
-
-  if (alerts.enabled) {
-    out << "  \"alerts\": ";
-    runtime::write_alert_log_json(out, alerts, "  ");
-    out << ",\n";
-  }
+  write_feature_blocks(out, *this);
 
   out << "  \"final\": {\n";
   out << "    \"active_tasks\": " << active_at_end << "\n";
@@ -177,6 +184,59 @@ std::string ClusterReport::to_json() const {
   std::ostringstream out;
   write_json(out);
   return out.str();
+}
+
+void write_single_server_json(std::ostream& out, const ClusterReport& report) {
+  if (report.cells.size() != 1)
+    throw std::logic_error(
+        "single-server report needs exactly one cell, got " +
+        std::to_string(report.cells.size()));
+  for (const ClusterEpochSnapshot& e : report.timeline)
+    if (e.cells.size() != 1)
+      throw std::logic_error(
+          "single-server epoch needs exactly one cell sample, got " +
+          std::to_string(e.cells.size()));
+  const CellReport& cell = report.cells[0];
+
+  out << "{\n";
+  out << "  \"schema\": \"odn-runtime-report/1\",\n";
+  out << "  \"trace\": \"" << json_escape(report.trace_name) << "\",\n";
+  out << "  \"seed\": " << report.seed << ",\n";
+  out << "  \"horizon_s\": " << runtime::json_double(report.horizon_s)
+      << ",\n";
+  out << "  \"events_processed\": " << report.events_processed << ",\n";
+  out << "  \"epochs\": " << report.epochs << ",\n";
+
+  out << "  \"classes\": ";
+  write_classes_json(out, report.aggregate_classes(), "  ");
+  out << ",\n";
+
+  out << "  \"watermarks\": ";
+  write_watermarks_json(out, cell.watermarks, "  ");
+  out << ",\n";
+
+  out << "  \"timeline\": [\n";
+  for (std::size_t i = 0; i < report.timeline.size(); ++i) {
+    const ClusterEpochSnapshot& e = report.timeline[i];
+    const ClusterEpochSnapshot::CellSample& sample = e.cells[0];
+    out << "    {\"t_s\": " << runtime::json_double(e.time_s)
+        << ", \"active\": " << e.active_tasks
+        << ", \"deployed_blocks\": " << sample.deployed_blocks
+        << ", \"samples\": " << e.samples
+        << ", \"p95_s\": " << runtime::json_double(sample.p95_latency_s)
+        << ", \"slo_violations\": " << e.slo_violations
+        << ", \"gpu_busy\": " << runtime::json_double(sample.gpu_busy_fraction)
+        << "}" << (i + 1 < report.timeline.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+
+  write_feature_blocks(out, report);
+
+  out << "  \"final\": {\n";
+  out << "    \"active_tasks\": " << report.active_at_end << ",\n";
+  out << "    \"deployed_blocks\": " << cell.deployed_blocks_at_end << "\n";
+  out << "  }\n";
+  out << "}\n";
 }
 
 void export_metrics(const ClusterReport& report, bool migration_on,

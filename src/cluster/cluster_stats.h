@@ -1,8 +1,9 @@
-// Cluster-wide SLO accounting: per-cell, per-priority-class stats (reusing
+// The serving engine's report: per-cell, per-priority-class stats (reusing
 // runtime::ClassStats), placement/spillover/migration counters and the
-// aggregated cluster report — exported as deterministic JSON with the same
-// formatting contract as the single-cell runtime report (stable key order,
-// locale-independent json_double).
+// cluster-wide rollups. One report type with two JSON schemas, both with
+// stable key order and locale-independent json_double: the cluster schema
+// (ClusterReport::write_json) and, for a one-cell run, the single-server
+// schema (write_single_server_json).
 #pragma once
 
 #include <cstddef>
@@ -55,8 +56,9 @@ struct ClusterEpochSnapshot {
   std::size_t cells_violating = 0;    // cells with >= 1 violation this epoch
   std::size_t migrations = 0;         // successful moves at this boundary
 
-  // Per-cell measurement detail, indexed by cell. Not serialized: the
-  // single-cell report (runtime::ServingRuntime) reads its timeline from it.
+  // Per-cell measurement detail, indexed by cell. The cluster schema does
+  // not serialize it; the single-server schema writes its timeline's
+  // deployed_blocks, p95_s and gpu_busy from cells[0].
   struct CellSample {
     std::size_t deployed_blocks = 0;
     double p95_latency_s = 0.0;
@@ -80,7 +82,9 @@ struct ClusterReport {
   std::size_t epochs = 0;
 
   // Cluster-level lifecycle per class (arrivals, retries, rejections,
-  // pending — everything that happens before/without a cell).
+  // pending — everything that happens before/without a cell). Departures,
+  // latency samples and SLO violations live on cells[i].classes, so read
+  // them through aggregate_classes(), also on a one-cell report.
   std::vector<runtime::ClassStats> classes;
   std::vector<CellReport> cells;
   MigrationStats migration;
@@ -114,9 +118,17 @@ struct ClusterReport {
   // with every cell's per-class stats (runtime::ClassStats::merge_from).
   std::vector<runtime::ClassStats> aggregate_classes() const;
 
+  // The odn-cluster-report/1 schema.
   void write_json(std::ostream& out) const;
   std::string to_json() const;
 };
+
+// Writes a one-cell report in the single server's odn-runtime-report/1
+// schema: aggregate_classes() as its classes, cells[0]'s watermarks and
+// final deployed blocks, and each epoch's cells[0] sample. Throws
+// std::logic_error unless the report has exactly one cell and every
+// timeline entry exactly one CellSample.
+void write_single_server_json(std::ostream& out, const ClusterReport& report);
 
 // Publishes the engine's metric series from a finished report into
 // `registry` (DESIGN.md §6 has the series-to-field table). Counters add

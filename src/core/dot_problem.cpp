@@ -16,7 +16,7 @@ void DotInstance::finalize() {
     return specs;
   }());
   resources.validate();
-  if (alpha < 0.0 || alpha > 1.0)
+  if (!(alpha >= 0.0 && alpha <= 1.0))  // NaN fails it too
     throw std::invalid_argument("DotInstance: alpha outside [0,1]");
 
   for (DotTask& task : tasks) {

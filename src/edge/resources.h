@@ -19,10 +19,13 @@ struct EdgeResources {
   // R: resource blocks in the cell.
   std::size_t total_rbs = 1;
 
+  // Each capacity must be finite and positive; NaN fails every check.
   void validate() const {
-    if (compute_capacity_s <= 0.0 || training_budget_s <= 0.0 ||
-        memory_capacity_bytes <= 0.0 || total_rbs == 0)
-      throw std::invalid_argument("EdgeResources: non-positive capacity");
+    const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+    if (!positive(compute_capacity_s) || !positive(training_budget_s) ||
+        !positive(memory_capacity_bytes) || total_rbs == 0)
+      throw std::invalid_argument(
+          "EdgeResources: capacity not finite and positive");
   }
 
   // Every capacity times `factor`, RBs rounded and kept >= 1: the slice of

@@ -1,6 +1,7 @@
 #include "model/batching.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/fmt.h"
@@ -18,11 +19,12 @@ void BatchingOptions::validate() const {
   cost.validate();
   if (max_batch == 0)
     throw std::invalid_argument("BatchingOptions: max_batch must be >= 1");
-  if (!(window_s > 0.0))
-    throw std::invalid_argument("BatchingOptions: window_s must be positive");
-  if (!(probe_window_s > 0.0))
+  if (!(std::isfinite(window_s) && window_s > 0.0))
     throw std::invalid_argument(
-        "BatchingOptions: probe_window_s must be positive");
+        "BatchingOptions: window_s must be finite and positive");
+  if (!(std::isfinite(probe_window_s) && probe_window_s > 0.0))
+    throw std::invalid_argument(
+        "BatchingOptions: probe_window_s must be finite and positive");
 }
 
 double expected_batch_size(double request_rate,

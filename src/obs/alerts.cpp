@@ -1,5 +1,6 @@
 #include "obs/alerts.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace odn::obs {
@@ -14,9 +15,10 @@ void AlertOptions::validate() const {
   if (!(error_budget > 0.0) || !(error_budget <= 1.0))
     throw std::invalid_argument(
         "AlertOptions: error_budget must be in (0, 1]");
-  if (!(fast_burn_threshold > 0.0) || !(slow_burn_threshold > 0.0))
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  if (!positive(fast_burn_threshold) || !positive(slow_burn_threshold))
     throw std::invalid_argument(
-        "AlertOptions: burn thresholds must be > 0");
+        "AlertOptions: burn thresholds must be finite and > 0");
 }
 
 BurnRateAlertEngine::BurnRateAlertEngine(AlertOptions options,

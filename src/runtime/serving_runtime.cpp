@@ -1,5 +1,6 @@
 #include "runtime/serving_runtime.h"
 
+#include <sstream>
 #include <utility>
 
 namespace odn::runtime {
@@ -28,40 +29,17 @@ ServingRuntime::ServingRuntime(edge::DnnCatalog catalog,
               one_cell_options(std::move(options))) {}
 
 RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
-  cluster::ClusterReport engine = engine_.run(trace);
-  cluster::CellReport& cell = engine.cells.front();
+  return RuntimeReport{engine_.run(trace)};
+}
 
-  RuntimeReport report;
-  report.trace_name = std::move(engine.trace_name);
-  report.seed = engine.seed;
-  report.horizon_s = engine.horizon_s;
-  report.events_processed = engine.events_processed;
-  report.epochs = engine.epochs;
-  report.classes = engine.aggregate_classes();
-  report.watermarks = cell.watermarks;
-  report.timeline.reserve(engine.timeline.size());
-  for (const cluster::ClusterEpochSnapshot& epoch : engine.timeline) {
-    const cluster::ClusterEpochSnapshot::CellSample& sample =
-        epoch.cells.front();
-    EpochSnapshot snapshot;
-    snapshot.time_s = epoch.time_s;
-    snapshot.active_tasks = epoch.active_tasks;
-    snapshot.deployed_blocks = sample.deployed_blocks;
-    snapshot.samples = epoch.samples;
-    snapshot.p95_latency_s = sample.p95_latency_s;
-    snapshot.slo_violations = epoch.slo_violations;
-    snapshot.gpu_busy_fraction = sample.gpu_busy_fraction;
-    snapshot.measure_wall_s = epoch.measure_wall_s;
-    report.timeline.push_back(snapshot);
-  }
-  report.active_at_end = engine.active_at_end;
-  report.deployed_blocks_at_end = cell.deployed_blocks_at_end;
-  report.faults = std::move(engine.faults);
-  report.sched = std::move(engine.sched);
-  report.batching = engine.batching;
-  report.alerts = std::move(engine.alerts);
-  report.run_wall_s = engine.run_wall_s;
-  return report;
+void RuntimeReport::write_json(std::ostream& out) const {
+  cluster::write_single_server_json(out, *this);
+}
+
+std::string RuntimeReport::to_json() const {
+  std::ostringstream out;
+  write_json(out);
+  return out.str();
 }
 
 }  // namespace odn::runtime

@@ -4,10 +4,10 @@
 // A single server is a one-cell deployment of the serving engine
 // (cluster/cluster_runtime.h): this adapter builds a one-cell first_fit
 // ClusterRuntime whose shared plan cache is sized from
-// options.controller.cache, runs it, and maps the result onto the
-// single-cell RuntimeReport. Every event-loop behaviour — retries, fault
-// recovery, the preemption ladder, batching, burn-rate alerts, epoch
-// measurement — is the engine's.
+// options.controller.cache, runs it, and returns the engine's own
+// one-cell report. Every event-loop behaviour — retries, fault recovery,
+// the preemption ladder, batching, burn-rate alerts, epoch measurement —
+// is the engine's.
 //
 // Determinism contract: given equal (catalog, resources, templates,
 // options, trace), two runs produce byte-identical JSON reports for any
@@ -15,15 +15,28 @@
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_runtime.h"
+#include "cluster/cluster_stats.h"
 #include "core/controller.h"
 #include "runtime/options.h"
-#include "runtime/stats.h"
 #include "runtime/workload.h"
 
 namespace odn::runtime {
+
+// Exists only to select the odn-runtime-report/1 schema for the engine's
+// one-cell report (cluster::write_single_server_json).
+struct RuntimeReport : cluster::ClusterReport {
+  void write_json(std::ostream& out) const;
+  std::string to_json() const;
+};
+
+// The spelling perfbench compiles against; in-repo code spells
+// cluster::ClusterEpochSnapshot.
+using EpochSnapshot = cluster::ClusterEpochSnapshot;
 
 class ServingRuntime {
  public:
@@ -33,8 +46,8 @@ class ServingRuntime {
                  RuntimeOptions options = {});
 
   // Replays the trace from t=0 on a freshly reset controller and returns
-  // the accounting report. The trace's template_count must match the
-  // template set handed to the constructor.
+  // the engine's one-cell accounting report. The trace's template_count
+  // must match the template set handed to the constructor.
   RuntimeReport run(const WorkloadTrace& trace);
 
   // Priority-class index of a template priority (exposed for tests).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "util/mathx.h"
 
@@ -60,24 +59,6 @@ double ClassStats::slo_violation_rate() const {
              ? 0.0
              : static_cast<double>(slo_violations) /
                    static_cast<double>(latency_samples_s.size());
-}
-
-std::size_t RuntimeReport::total_arrivals() const {
-  std::size_t n = 0;
-  for (const ClassStats& c : classes) n += c.arrivals;
-  return n;
-}
-
-std::size_t RuntimeReport::total_admitted() const {
-  std::size_t n = 0;
-  for (const ClassStats& c : classes) n += c.admitted;
-  return n;
-}
-
-std::size_t RuntimeReport::total_slo_violations() const {
-  std::size_t n = 0;
-  for (const ClassStats& c : classes) n += c.slo_violations;
-  return n;
 }
 
 void write_class_stats_json(std::ostream& out, const ClassStats& c,
@@ -161,86 +142,6 @@ void write_alert_log_json(std::ostream& out, const obs::AlertLog& log,
   }
   out << (log.records.empty() ? "" : "\n" + indent + "  ") << "]\n";
   out << indent << "}";
-}
-
-void RuntimeReport::write_json(std::ostream& out) const {
-  out << "{\n";
-  out << "  \"schema\": \"odn-runtime-report/1\",\n";
-  out << "  \"trace\": \"" << json_escape(trace_name) << "\",\n";
-  out << "  \"seed\": " << seed << ",\n";
-  out << "  \"horizon_s\": " << json_double(horizon_s) << ",\n";
-  out << "  \"events_processed\": " << events_processed << ",\n";
-  out << "  \"epochs\": " << epochs << ",\n";
-
-  out << "  \"classes\": [\n";
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    write_class_stats_json(out, classes[i], "    ");
-    out << (i + 1 < classes.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  out << "  \"watermarks\": {\n";
-  out << "    \"peak_memory_bytes\": "
-      << json_double(watermarks.peak_memory_bytes) << ",\n";
-  out << "    \"peak_compute_s\": " << json_double(watermarks.peak_compute_s)
-      << ",\n";
-  out << "    \"peak_rbs\": " << watermarks.peak_rbs << ",\n";
-  out << "    \"memory_capacity_bytes\": "
-      << json_double(watermarks.memory_capacity_bytes) << ",\n";
-  out << "    \"compute_capacity_s\": "
-      << json_double(watermarks.compute_capacity_s) << ",\n";
-  out << "    \"rb_capacity\": " << watermarks.rb_capacity << "\n";
-  out << "  },\n";
-
-  out << "  \"timeline\": [\n";
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    const EpochSnapshot& e = timeline[i];
-    out << "    {\"t_s\": " << json_double(e.time_s)
-        << ", \"active\": " << e.active_tasks
-        << ", \"deployed_blocks\": " << e.deployed_blocks
-        << ", \"samples\": " << e.samples
-        << ", \"p95_s\": " << json_double(e.p95_latency_s)
-        << ", \"slo_violations\": " << e.slo_violations
-        << ", \"gpu_busy\": " << json_double(e.gpu_busy_fraction) << "}"
-        << (i + 1 < timeline.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-
-  if (faults.enabled) {
-    out << "  \"faults\": ";
-    faults.write_json(out, "  ");
-    out << ",\n";
-  }
-
-  if (sched.enabled) {
-    out << "  \"sched\": ";
-    sched.write_json(out, "  ");
-    out << ",\n";
-  }
-
-  if (batching.enabled) {
-    out << "  \"batching\": ";
-    batching.write_json(out, "  ");
-    out << ",\n";
-  }
-
-  if (alerts.enabled) {
-    out << "  \"alerts\": ";
-    write_alert_log_json(out, alerts, "  ");
-    out << ",\n";
-  }
-
-  out << "  \"final\": {\n";
-  out << "    \"active_tasks\": " << active_at_end << ",\n";
-  out << "    \"deployed_blocks\": " << deployed_blocks_at_end << "\n";
-  out << "  }\n";
-  out << "}\n";
-}
-
-std::string RuntimeReport::to_json() const {
-  std::ostringstream out;
-  write_json(out);
-  return out.str();
 }
 
 }  // namespace odn::runtime

@@ -4,6 +4,8 @@
 // for serial vs parallel cost_probe).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "cluster/cluster_runtime.h"
@@ -125,9 +127,11 @@ TEST(ClusterRuntime, MigrationNeverViolatesCellLedgers) {
 }
 
 TEST(ClusterRuntime, SingleCellFirstFitMatchesServingRuntime) {
-  // One cell with the full envelope and no migration is exactly the
-  // single-server serving runtime: lifecycle counters and measurement
-  // sample counts must agree class by class.
+  // One cell with the full envelope, configured the way ServingRuntime
+  // configures its engine (first_fit, shared plan cache sized from the
+  // controller's cache options), is exactly the single-server serving
+  // runtime: lifecycle counters and measurement sample counts agree class
+  // by class, and the single-server schema writes the same bytes.
   const core::DotInstance instance = core::make_small_scenario(5);
   const runtime::WorkloadTrace trace = small_trace(21, 30.0);
 
@@ -138,19 +142,24 @@ TEST(ClusterRuntime, SingleCellFirstFitMatchesServingRuntime) {
   const runtime::RuntimeReport single_report = single.run(trace);
 
   ClusterOptions cluster_options;
+  static_cast<runtime::RuntimeOptions&>(cluster_options) = single_options;
   cluster_options.dispatch.policy = PlacementPolicy::kFirstFit;
-  cluster_options.migrate_on_slo = false;
+  cluster_options.dispatch.plan_cache =
+      single_options.controller.cache.plan_cache;
+  cluster_options.dispatch.plan_cache_capacity =
+      single_options.controller.cache.plan_capacity;
   ClusterRuntime cluster(
       instance.catalog, {CellSpec{"cell-0", instance.resources}},
       instance.radio, instance.tasks, cluster_options);
   const ClusterReport cluster_report = cluster.run(trace);
 
   const auto aggregate = cluster_report.aggregate_classes();
-  ASSERT_EQ(aggregate.size(), single_report.classes.size());
+  const auto single_aggregate = single_report.aggregate_classes();
+  ASSERT_EQ(aggregate.size(), single_aggregate.size());
   for (std::size_t c = 0; c < aggregate.size(); ++c) {
     SCOPED_TRACE(aggregate[c].name);
     const runtime::ClassStats& ours = aggregate[c];
-    const runtime::ClassStats& theirs = single_report.classes[c];
+    const runtime::ClassStats& theirs = single_aggregate[c];
     EXPECT_EQ(ours.arrivals, theirs.arrivals);
     EXPECT_EQ(ours.admitted, theirs.admitted);
     EXPECT_EQ(ours.admitted_first_try, theirs.admitted_first_try);
@@ -162,6 +171,32 @@ TEST(ClusterRuntime, SingleCellFirstFitMatchesServingRuntime) {
               theirs.latency_samples_s.size());
     EXPECT_EQ(ours.slo_violations, theirs.slo_violations);
   }
+  EXPECT_EQ(runtime::RuntimeReport{cluster_report}.to_json(),
+            single_report.to_json());
+}
+
+// The single-server schema is defined only for a one-cell report whose
+// every epoch holds exactly one cell sample.
+TEST(ClusterRuntime, SingleServerSchemaRejectsZeroOrTwoCells) {
+  for (const std::size_t cells : {0u, 2u}) {
+    SCOPED_TRACE(cells);
+    runtime::RuntimeReport report;
+    report.cells.resize(cells);
+    std::ostringstream out;
+    EXPECT_THROW(write_single_server_json(out, report), std::logic_error);
+    EXPECT_THROW((void)report.to_json(), std::logic_error);
+  }
+}
+
+TEST(ClusterRuntime, SingleServerSchemaRejectsEpochWithTwoSamples) {
+  runtime::RuntimeReport report;
+  report.cells.resize(1);
+  report.timeline.resize(2);
+  report.timeline[0].cells.resize(1);
+  report.timeline[1].cells.resize(2);
+  EXPECT_THROW((void)report.to_json(), std::logic_error);
+  report.timeline[1].cells.resize(1);
+  EXPECT_NO_THROW((void)report.to_json());
 }
 
 TEST(ClusterRuntime, FullDepartureReturnsEveryCellToZero) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_instances.h"
 
 namespace odn::core {
@@ -49,6 +51,38 @@ TEST(DotInstance, FinalizeValidatesAlpha) {
   DotInstance instance = testing::two_task_instance();
   instance.alpha = 1.5;
   EXPECT_THROW(instance.finalize(), std::invalid_argument);
+}
+
+// NaN fails every comparison, so a range check must be written to fail
+// for it; otherwise the solver returns a NaN objective.
+TEST(DotInstance, FinalizeRejectsNonFiniteAlpha) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    DotInstance instance = testing::two_task_instance();
+    instance.alpha = bad;
+    EXPECT_THROW(instance.finalize(), std::invalid_argument);
+  }
+}
+
+TEST(DotInstance, FinalizeRejectsNonFiniteTaskAndResourceFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {
+    DotInstance instance = testing::two_task_instance();
+    instance.tasks[1].spec.priority = nan;
+    EXPECT_THROW(instance.finalize(), std::invalid_argument);
+  }
+  {
+    DotInstance instance = testing::two_task_instance();
+    instance.tasks[0].spec.snr_db = nan;
+    EXPECT_THROW(instance.finalize(), std::invalid_argument);
+  }
+  {
+    DotInstance instance = testing::two_task_instance();
+    instance.resources.compute_capacity_s = nan;
+    EXPECT_THROW(instance.finalize(), std::invalid_argument);
+  }
 }
 
 TEST(DotInstance, FinalizeValidatesQualityIndex) {

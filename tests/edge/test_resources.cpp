@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace odn::edge {
 namespace {
 
@@ -31,6 +33,22 @@ TEST(EdgeResources, NonPositiveCapacitiesThrow) {
   resources = sample_resources();
   resources.training_budget_s = 0.0;
   EXPECT_THROW(resources.validate(), std::invalid_argument);
+}
+
+// NaN fails no `<= 0` check, so each capacity must also be finite.
+TEST(EdgeResources, NonFiniteCapacitiesThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double EdgeResources::*field :
+       {&EdgeResources::compute_capacity_s, &EdgeResources::training_budget_s,
+        &EdgeResources::memory_capacity_bytes}) {
+    for (const double bad : {nan, inf, -inf}) {
+      SCOPED_TRACE(bad);
+      EdgeResources resources = sample_resources();
+      resources.*field = bad;
+      EXPECT_THROW(resources.validate(), std::invalid_argument);
+    }
+  }
 }
 
 TEST(ResourceLedger, CommitWithinCapacity) {

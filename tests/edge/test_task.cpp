@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace odn::edge {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TaskSpec valid_task() {
   TaskSpec task;
@@ -67,6 +72,52 @@ TEST(TaskSpec, BadQualityLevelThrows) {
   EXPECT_THROW(task.validate(), std::invalid_argument);
   task.qualities = {{350e3, 0.0}};
   EXPECT_THROW(task.validate(), std::invalid_argument);
+}
+
+// A comparison with NaN is false, so a range check written as
+// `x < lo || x > hi` would let NaN through; every field must also be finite.
+template <typename Mutate>
+void expect_non_finite_rejected(Mutate mutate) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    TaskSpec task = valid_task();
+    mutate(task, bad);
+    EXPECT_THROW(task.validate(), std::invalid_argument);
+  }
+}
+
+TEST(TaskSpec, NonFinitePriorityThrows) {
+  expect_non_finite_rejected([](TaskSpec& t, double x) { t.priority = x; });
+}
+
+TEST(TaskSpec, NonFiniteRequestRateThrows) {
+  expect_non_finite_rejected(
+      [](TaskSpec& t, double x) { t.request_rate = x; });
+}
+
+TEST(TaskSpec, NonFiniteAccuracyThrows) {
+  expect_non_finite_rejected(
+      [](TaskSpec& t, double x) { t.min_accuracy = x; });
+}
+
+TEST(TaskSpec, NonFiniteLatencyThrows) {
+  expect_non_finite_rejected(
+      [](TaskSpec& t, double x) { t.max_latency_s = x; });
+}
+
+TEST(TaskSpec, NonFiniteSnrThrows) {
+  expect_non_finite_rejected([](TaskSpec& t, double x) { t.snr_db = x; });
+  // Any finite SNR is a valid channel, negative dB included.
+  TaskSpec task = valid_task();
+  task.snr_db = -5.0;
+  EXPECT_NO_THROW(task.validate());
+}
+
+TEST(TaskSpec, NonFiniteQualityLevelThrows) {
+  expect_non_finite_rejected(
+      [](TaskSpec& t, double x) { t.qualities[0].bits_per_image = x; });
+  expect_non_finite_rejected(
+      [](TaskSpec& t, double x) { t.qualities[0].accuracy_factor = x; });
 }
 
 TEST(TaskSpec, FullQualityIsFirst) {

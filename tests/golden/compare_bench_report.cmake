@@ -6,9 +6,12 @@
 # Invoked by add_test as:
 #   cmake -DBENCH=<binary> -DGOLDEN=<file> -DOUT=<file>
 #         [-DTHREADS=<n>] [-DARGS=<extra cli args>] [-DTRACE=<file>]
-#         -P compare_bench_report.cmake
+#         [-DSTDOUT=ON] -P compare_bench_report.cmake
 #
 # An empty THREADS unsets ODN_THREADS so the bench uses every core.
+# STDOUT captures the program's standard output into OUT instead of
+# passing `--out OUT`, for programs that print their report (the examples,
+# which reject --out).
 # TRACE runs the bench with ODN_TRACE pointing at <file> and additionally
 # checks the emitted trace is a Chrome trace_event JSON — the report bytes
 # must not change with tracing on (DESIGN.md §6).
@@ -34,11 +37,18 @@ list(APPEND bench_env --unset=ODN_METRICS)
 # golden run into a chaos run.
 list(APPEND bench_env --unset=ODN_FAULTS)
 
+if(STDOUT)
+  set(out_args "")
+  set(capture OUTPUT_FILE ${OUT})
+else()
+  set(out_args --out ${OUT})
+  set(capture OUTPUT_QUIET)
+endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env ${bench_env}
-          ${BENCH} ${bench_args} --out ${OUT}
+          ${BENCH} ${bench_args} ${out_args}
   RESULT_VARIABLE run_result
-  OUTPUT_QUIET)
+  ${capture})
 if(NOT run_result EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with '${run_result}'")
 endif()

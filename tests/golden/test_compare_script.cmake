@@ -6,7 +6,9 @@
 # `--out <path>` the compare script appends) and checks both directions:
 #   1. a report matching the golden passes,
 #   2. a mismatching report fails AND the failure message pinpoints the
-#      first diverging line (the unified-diff/fallback path).
+#      first diverging line (the unified-diff/fallback path),
+#   3. in STDOUT mode (`cmake -E cat` as the program) a matching printed
+#      report passes and a diverged one fails.
 if(NOT COMPARE OR NOT FAKE_BENCH OR NOT WORK_DIR)
   message(FATAL_ERROR "COMPARE, FAKE_BENCH and WORK_DIR are all required")
 endif()
@@ -67,6 +69,33 @@ if(NOT diverge_output MATCHES "\"admitted\": 12")
   message(FATAL_ERROR
           "mismatch failure does not show the golden side:\n"
           "${diverge_output}")
+endif()
+
+# 3. STDOUT mode: the program prints its report and gets no --out.
+function(run_compare_stdout src out result_var)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND}
+      -DBENCH=${CMAKE_COMMAND}
+      "-DARGS=-E cat ${src}"
+      -DGOLDEN=${WORK_DIR}/golden.json
+      -DOUT=${out}
+      -DSTDOUT=ON
+      -P ${COMPARE}
+    RESULT_VARIABLE result
+    OUTPUT_QUIET
+    ERROR_QUIET)
+  set(${result_var} ${result} PARENT_SCOPE)
+endfunction()
+
+run_compare_stdout(${WORK_DIR}/matching.json ${WORK_DIR}/out_stdout.txt
+                   stdout_match_result)
+if(NOT stdout_match_result EQUAL 0)
+  message(FATAL_ERROR "STDOUT mode rejected a matching printed report")
+endif()
+run_compare_stdout(${WORK_DIR}/diverged.json ${WORK_DIR}/out_stdout_bad.txt
+                   stdout_diverge_result)
+if(stdout_diverge_result EQUAL 0)
+  message(FATAL_ERROR "STDOUT mode accepted a diverged printed report")
 endif()
 
 message(STATUS "compare_bench_report selftest passed")

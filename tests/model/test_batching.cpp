@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "core/scenarios.h"
@@ -72,6 +73,28 @@ TEST(BatchingOptions, ValidateRejectsBadFields) {
   BatchingOptions bad_probe = options;
   bad_probe.probe_window_s = -1.0;
   EXPECT_THROW(bad_probe.validate(), std::invalid_argument);
+}
+
+// `!(x > 0.0)` is false for +inf, so each window must also be finite.
+TEST(BatchingOptions, ValidateRejectsNonFiniteFields) {
+  BatchingOptions options;
+  options.enabled = true;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    BatchingOptions bad_window = options;
+    bad_window.window_s = bad;
+    EXPECT_THROW(bad_window.validate(), std::invalid_argument);
+
+    BatchingOptions bad_probe = options;
+    bad_probe.probe_window_s = bad;
+    EXPECT_THROW(bad_probe.validate(), std::invalid_argument);
+
+    BatchingOptions bad_mf = options;
+    bad_mf.cost.marginal_fraction = bad;
+    EXPECT_THROW(bad_mf.validate(), std::invalid_argument);
+  }
 }
 
 TEST(BatchingOptions, ExpectedBatchSizeClampsToValidRange) {

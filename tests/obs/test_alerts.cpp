@@ -4,6 +4,7 @@
 // one-null-check disabled hook.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,6 +46,26 @@ TEST(AlertOptions, ValidateRejectsNonsense) {
 
   EXPECT_NO_THROW(tight_options().validate());
   EXPECT_NO_THROW(AlertOptions{}.validate());  // defaults are sane
+}
+
+// `!(x > 0.0)` is false for +inf, so each threshold must also be finite.
+TEST(AlertOptions, ValidateRejectsNonFiniteThresholds) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    AlertOptions options = tight_options();
+    options.fast_burn_threshold = bad;
+    EXPECT_THROW(options.validate(), std::invalid_argument);
+
+    options = tight_options();
+    options.slow_burn_threshold = bad;
+    EXPECT_THROW(options.validate(), std::invalid_argument);
+
+    options = tight_options();
+    options.error_budget = bad;
+    EXPECT_THROW(options.validate(), std::invalid_argument);
+  }
 }
 
 TEST(AlertEngine, RejectsMismatchedClassVectors) {

@@ -108,7 +108,7 @@ TEST(ObsIntegration, ReportJsonCarriesNoWallClockFields) {
   // The wall-clock diagnostics are populated...
   EXPECT_GT(report.run_wall_s, 0.0);
   ASSERT_FALSE(report.timeline.empty());
-  for (const runtime::EpochSnapshot& epoch : report.timeline)
+  for (const cluster::ClusterEpochSnapshot& epoch : report.timeline)
     EXPECT_GE(epoch.measure_wall_s, 0.0);
 
   // ...but never serialized: the golden byte-compare forbids wall-clock

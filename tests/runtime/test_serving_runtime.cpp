@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster_runtime.h"
 #include "core/scenarios.h"
@@ -37,7 +38,8 @@ TEST(ServingRuntime, LifecycleAccountingBalances) {
 
   std::size_t arrivals = 0;
   std::size_t retries = 0;
-  for (const ClassStats& c : report.classes) {
+  // Departures live on the cell, so only the aggregate sees them.
+  for (const ClassStats& c : report.aggregate_classes()) {
     SCOPED_TRACE(c.name);
     // Every arriving job ends in exactly one lifecycle bucket.
     EXPECT_EQ(c.arrivals, c.admitted + c.rejected_final +
@@ -63,13 +65,15 @@ TEST(ServingRuntime, WatermarksStayWithinCapacity) {
   ServingRuntime runtime(instance.catalog, instance.resources,
                          instance.radio, instance.tasks);
   const RuntimeReport report = runtime.run(small_trace());
-  EXPECT_GT(report.watermarks.peak_memory_bytes, 0.0);
-  EXPECT_LE(report.watermarks.peak_memory_bytes,
+  ASSERT_EQ(report.cells.size(), 1u);
+  const ResourceWatermarks& watermarks = report.cells[0].watermarks;
+  EXPECT_GT(watermarks.peak_memory_bytes, 0.0);
+  EXPECT_LE(watermarks.peak_memory_bytes,
             instance.resources.memory_capacity_bytes + 1e-9);
-  EXPECT_LE(report.watermarks.peak_compute_s,
+  EXPECT_LE(watermarks.peak_compute_s,
             instance.resources.compute_capacity_s + 1e-9);
-  EXPECT_LE(report.watermarks.peak_rbs, instance.resources.total_rbs);
-  EXPECT_EQ(report.watermarks.rb_capacity, instance.resources.total_rbs);
+  EXPECT_LE(watermarks.peak_rbs, instance.resources.total_rbs);
+  EXPECT_EQ(watermarks.rb_capacity, instance.resources.total_rbs);
 }
 
 TEST(ServingRuntime, EpochMeasurementPopulatesLatencies) {
@@ -81,17 +85,19 @@ TEST(ServingRuntime, EpochMeasurementPopulatesLatencies) {
 
   EXPECT_EQ(report.epochs, 3u);  // t = 10, 20, 30
   ASSERT_EQ(report.timeline.size(), 3u);
+  // Latency samples and SLO violations live on the cell.
+  const std::vector<ClassStats> classes = report.aggregate_classes();
   std::size_t samples = 0;
-  for (const ClassStats& c : report.classes)
-    samples += c.latency_samples_s.size();
+  for (const ClassStats& c : classes) samples += c.latency_samples_s.size();
   EXPECT_GT(samples, 0u);
-  for (const EpochSnapshot& epoch : report.timeline) {
+  for (const cluster::ClusterEpochSnapshot& epoch : report.timeline) {
+    ASSERT_EQ(epoch.cells.size(), 1u);
     if (epoch.active_tasks > 0) {
       EXPECT_GT(epoch.samples, 0u);
-      EXPECT_GT(epoch.p95_latency_s, 0.0);
+      EXPECT_GT(epoch.cells[0].p95_latency_s, 0.0);
     }
   }
-  for (const ClassStats& c : report.classes) {
+  for (const ClassStats& c : classes) {
     if (c.latency_samples_s.empty()) continue;
     EXPECT_GE(c.p95_latency_s(), c.p50_latency_s());
     EXPECT_LE(c.slo_violations, c.latency_samples_s.size());
@@ -105,8 +111,12 @@ TEST(ServingRuntime, EpochZeroDisablesMeasurement) {
   const RuntimeReport report = runtime.run(small_trace());
   EXPECT_EQ(report.epochs, 0u);
   EXPECT_TRUE(report.timeline.empty());
-  for (const ClassStats& c : report.classes)
+  const std::vector<ClassStats> classes = report.aggregate_classes();
+  ASSERT_FALSE(classes.empty());
+  for (const ClassStats& c : classes) {
     EXPECT_TRUE(c.latency_samples_s.empty());
+    EXPECT_EQ(c.slo_violations, 0u);
+  }
 }
 
 TEST(ServingRuntime, ManualTraceFullDepartureReturnsToZero) {
@@ -127,13 +137,14 @@ TEST(ServingRuntime, ManualTraceFullDepartureReturnsToZero) {
 
   EXPECT_EQ(report.total_arrivals(), 3u);
   EXPECT_EQ(report.active_at_end, 0u);
-  EXPECT_EQ(report.deployed_blocks_at_end, 0u);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_EQ(report.cells[0].deployed_blocks_at_end, 0u);
   EXPECT_TRUE(runtime.controller().active_tasks().empty());
   EXPECT_EQ(runtime.controller().ledger().memory_used_bytes(), 0.0);
   EXPECT_EQ(runtime.controller().ledger().compute_used_s(), 0.0);
   EXPECT_EQ(runtime.controller().ledger().rbs_used(), 0u);
   // The deployment *was* live in between.
-  EXPECT_GT(report.watermarks.peak_memory_bytes, 0.0);
+  EXPECT_GT(report.cells[0].watermarks.peak_memory_bytes, 0.0);
 }
 
 TEST(ServingRuntime, OverloadExercisesRetriesAndRejections) {

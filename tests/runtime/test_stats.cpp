@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "runtime/serving_runtime.h"
 #include "runtime/stats.h"
 
 namespace odn::runtime {
@@ -156,10 +157,18 @@ TEST(RuntimeReport, JsonHasNoLocaleDecimalSeparators) {
   report.classes[0].name = "only";
   report.classes[0].arrivals = 2;
   report.classes[0].admitted = 1;
-  report.classes[0].latency_samples_s = {0.125, 0.375};
-  report.classes[0].slo_violations = 1;
-  report.watermarks.peak_memory_bytes = 1.5e9;
-  report.timeline.push_back(EpochSnapshot{10.5, 1, 2, 2, 0.375, 1, 0.25});
+  report.cells.resize(1);
+  report.cells[0].classes.resize(1);
+  report.cells[0].classes[0].latency_samples_s = {0.125, 0.375};
+  report.cells[0].classes[0].slo_violations = 1;
+  report.cells[0].watermarks.peak_memory_bytes = 1.5e9;
+  cluster::ClusterEpochSnapshot epoch;
+  epoch.time_s = 10.5;
+  epoch.active_tasks = 1;
+  epoch.samples = 2;
+  epoch.slo_violations = 1;
+  epoch.cells = {{2, 0.375, 0.25}};
+  report.timeline.push_back(epoch);
   const std::string json = report.to_json();
   std::setlocale(LC_NUMERIC, saved.c_str());
 
@@ -168,11 +177,13 @@ TEST(RuntimeReport, JsonHasNoLocaleDecimalSeparators) {
   EXPECT_NE(json.find("\"admission_rate\": 0.5"), std::string::npos);
   // A comma directly between digits can only come from a locale-formatted
   // double; the canonical report never produces one.
-  for (std::size_t i = 1; i + 1 < json.size(); ++i)
-    if (json[i] == ',')
+  for (std::size_t i = 1; i + 1 < json.size(); ++i) {
+    if (json[i] == ',') {
       EXPECT_FALSE(std::isdigit(static_cast<unsigned char>(json[i - 1])) &&
                    std::isdigit(static_cast<unsigned char>(json[i + 1])))
           << "locale comma at offset " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/cluster_stats.h"
+#include "runtime/serving_runtime.h"
 #include "runtime/stats.h"
 #include "runtime/workload.h"
 
@@ -107,6 +108,7 @@ TEST(Workload, SaveLoadRoundTripIsExact) {
   EXPECT_EQ(reread, named.name);
   RuntimeReport runtime_report;
   runtime_report.trace_name = reread;
+  runtime_report.cells.resize(1);  // the single-server schema's one cell
   cluster::ClusterReport cluster_report;
   cluster_report.trace_name = reread;
   for (const std::string& json :

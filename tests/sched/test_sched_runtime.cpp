@@ -146,11 +146,13 @@ TEST(SchedServingRuntime, BucketConservationHoldsForAnySeed) {
     // One ladder decision per arrival attempt that reached the policy.
     EXPECT_EQ(report.sched.timeline.size(), report.epochs);
     // Capacity envelope still honored with victims churning in and out.
-    EXPECT_LE(report.watermarks.peak_memory_bytes,
-              report.watermarks.memory_capacity_bytes * (1.0 + 1e-9));
-    EXPECT_LE(report.watermarks.peak_compute_s,
-              report.watermarks.compute_capacity_s * (1.0 + 1e-9));
-    EXPECT_LE(report.watermarks.peak_rbs, report.watermarks.rb_capacity);
+    const runtime::ResourceWatermarks& watermarks =
+        report.cells.at(0).watermarks;
+    EXPECT_LE(watermarks.peak_memory_bytes,
+              watermarks.memory_capacity_bytes * (1.0 + 1e-9));
+    EXPECT_LE(watermarks.peak_compute_s,
+              watermarks.compute_capacity_s * (1.0 + 1e-9));
+    EXPECT_LE(watermarks.peak_rbs, watermarks.rb_capacity);
   }
   // The sweep must actually exercise the ladder, or the identities above
   // are vacuous.
