@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "util/stopwatch.h"
 
@@ -49,14 +48,12 @@ DotSolution SemOranSolver::solve(const DotInstance& instance) const {
     // the catalog would allow it — SEM-O-RAN has no notion of sharing).
     double path_memory = 0.0;
     double path_training = 0.0;
-    {
-      std::unordered_set<edge::BlockIndex> seen;
-      for (const edge::BlockIndex b : best_option->path.blocks)
-        if (seen.insert(b).second) {
-          path_memory += instance.catalog.block(b).memory_bytes;
-          path_training += instance.catalog.block(b).training_cost_s;
-        }
-    }
+    const std::vector<edge::BlockIndex>& blocks = best_option->path.blocks;
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+      if (edge::first_occurrence(blocks, i)) {
+        path_memory += instance.block_memory_bytes(blocks[i]);
+        path_training += instance.block_training_cost_s(blocks[i]);
+      }
     const double path_compute =
         task.spec.request_rate * best_option->inference_time_s;  // z = 1
 

@@ -137,13 +137,17 @@ std::vector<double> ClusterDispatcher::probe_objectives(
   // Phase 1 (serial): key every accepting cell and group equal keys. The
   // catalog digest — the one O(blocks) key component — is computed at most
   // once per admission (admit() passes it in) and shared by all N cells'
-  // keys and by the miss solves below.
+  // keys and by the miss solves below. The request set is encoded once
+  // too: each cell's key is its own state prefix followed by these bytes.
   const core::Fingerprint digest_local =
       digest != nullptr ? *digest : core::catalog_digest(catalog);
+  core::CanonicalWriter request_writer;
+  core::encode_task_set(request_writer, requests);
+  const std::string encoded_requests = request_writer.take();
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     if (!accepting_[i]) continue;
-    std::string key = cells_[i].controller().probe_cache_key(catalog, requests,
-                                                             &digest_local);
+    std::string key = cells_[i].controller().probe_cache_key(
+        catalog, encoded_requests, digest_local);
     const auto it = by_key.find(key);
     if (it != by_key.end()) {
       groups[it->second].cells.push_back(i);

@@ -89,8 +89,8 @@ std::vector<TaskDecision> BranchOptimizer::optimize(
     double new_training = 0.0;
     for (const edge::BlockIndex b : option.path.blocks)
       if (block_use[b] == 0) {
-        new_memory += instance_.catalog.block(b).memory_bytes;
-        new_training += instance_.catalog.block(b).training_cost_s;
+        new_memory += instance_.block_memory_bytes(b);
+        new_training += instance_.block_training_cost_s(b);
       }
     if (memory_used + new_memory >
         res.memory_capacity_bytes * (1.0 + 1e-12))
@@ -238,7 +238,7 @@ std::vector<TaskDecision> BranchOptimizer::optimize(
               .options[decisions[task.task_index].option_index];
       for (const edge::BlockIndex b : option.path.blocks)
         if (block_use[b] == 1)
-          exclusive_training += instance_.catalog.block(b).training_cost_s;
+          exclusive_training += instance_.block_training_cost_s(b);
       const double gain =
           alpha * task.priority * z -
           (1.0 - alpha) *

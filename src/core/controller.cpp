@@ -68,27 +68,36 @@ OffloadnnController::OffloadnnController(const edge::EdgeResources& resources,
     : OffloadnnController(resources, radio, Options{}) {}
 
 void OffloadnnController::reset() {
-  ledger_.reset();
-  deployed_blocks_.clear();
   active_.clear();
   block_memory_.clear();
+  block_stamp_.clear();
+  rebuild_ledger();
 }
 
 void OffloadnnController::rebuild_ledger() {
   ledger_.reset();
   deployed_blocks_.clear();
+  if (++stamp_ == 0) {  // wrapped: old marks could match again
+    std::fill(block_stamp_.begin(), block_stamp_.end(), 0);
+    stamp_ = 1;
+  }
 
+  // Active tasks in order, each block counted at its first appearance:
+  // the ledger enters the plan keys and the discounted capacities, so the
+  // sums must not change order (and a release must not subtract).
   double compute = 0.0;
   double shared_rbs = 0.0;
   double memory = 0.0;
-  std::unordered_set<edge::BlockIndex> blocks;
   for (const TaskCommitment& task : active_) {
     compute += task.compute_s;
     shared_rbs += task.shared_rbs;
-    for (const edge::BlockIndex b : task.blocks)
-      if (blocks.insert(b).second) memory += block_memory_.at(b);
+    for (const edge::BlockIndex b : task.blocks) {
+      if (block_stamp_[b] == stamp_) continue;
+      block_stamp_[b] = stamp_;
+      memory += block_memory_[b];
+      deployed_blocks_.push_back(b);
+    }
   }
-  deployed_blocks_.assign(blocks.begin(), blocks.end());
   std::sort(deployed_blocks_.begin(), deployed_blocks_.end());
   const auto rbs =
       static_cast<std::size_t>(std::ceil(shared_rbs - 1e-9));
@@ -165,12 +174,30 @@ std::string OffloadnnController::probe_cache_key(
   return plan_key(catalog, requests, /*incremental=*/true, digest);
 }
 
+std::string OffloadnnController::probe_cache_key(
+    const edge::DnnCatalog& catalog, std::string_view encoded_requests,
+    const Fingerprint& digest) const {
+  CanonicalWriter writer;
+  write_key_prefix(writer, catalog, digest, /*incremental=*/true);
+  writer.raw(encoded_requests);
+  return writer.take();
+}
+
 std::string OffloadnnController::plan_key(
     const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
     bool incremental, const Fingerprint* digest) const {
-  const Fingerprint catalog_fp =
-      digest != nullptr ? *digest : catalog_digest(catalog);
   CanonicalWriter writer;
+  write_key_prefix(writer, catalog,
+                   digest != nullptr ? *digest : catalog_digest(catalog),
+                   incremental);
+  encode_task_set(writer, requests);
+  return writer.take();
+}
+
+void OffloadnnController::write_key_prefix(CanonicalWriter& writer,
+                                           const edge::DnnCatalog& catalog,
+                                           const Fingerprint& catalog_fp,
+                                           bool incremental) const {
   writer.u8(2);  // key-format version (2: catalog digest-compressed)
   writer.boolean(incremental);
   writer.boolean(options_.use_optimal_solver);
@@ -187,8 +214,6 @@ std::string OffloadnnController::plan_key(
   writer.u64(catalog_fp.hi);
   writer.u64(catalog_fp.lo);
   writer.size(catalog.block_count());
-  encode_task_set(writer, requests);
-  return writer.take();
 }
 
 DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
@@ -236,7 +261,8 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   }
 
   // Step 2: assemble the DOT inputs — block availability and the (possibly
-  // discounted) resource capacities.
+  // discounted) resource capacities. The instance borrows the caller's
+  // block table: copying a catalog copies no blocks.
   DotInstance instance;
   instance.name = incremental ? "controller-incremental" : "controller";
   instance.catalog = catalog;
@@ -255,30 +281,20 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
             ? resources_.total_rbs - ledger_.rbs_used()
             : 1;
     // Already-deployed blocks are free: they are resident and trained
-    // (the paper's dynamic-scenario rule). The patch zeroes them in place
-    // on the instance's private copy — O(deployed), not O(blocks), which
-    // matters when probes fan this out per admission.
-    for (const edge::BlockIndex b : deployed_blocks_)
-      instance.catalog.mark_deployed(b);
+    // (the paper's dynamic-scenario rule). The solvers read them as free
+    // through the instance's deployed-block overlay; the catalog itself
+    // is never patched.
+    instance.deployed = deployed_blocks_;
   }
   instance.finalize();
 
   // Step 3: solve DOT (warm-started through the clique memo when on).
-  // The solver keys on the *instance* catalog, which differs from the
-  // caller's exactly when the deployed-block patch rebuilt it — in that
-  // case the digest is composed from the caller digest and the deployed
-  // set (which together determine the patched content) in O(deployed),
-  // instead of re-encoding the patched catalog in O(blocks).
-  Fingerprint instance_fp = caller_fp;
-  if (memo != nullptr && incremental && !deployed_blocks_.empty()) {
-    CanonicalWriter patch_writer;
-    patch_writer.u8(0x50);  // 'P': patched-catalog digest lineage
-    patch_writer.u64(caller_fp.hi);
-    patch_writer.u64(caller_fp.lo);
-    patch_writer.size(deployed_blocks_.size());
-    for (const edge::BlockIndex b : deployed_blocks_) patch_writer.u32(b);
-    instance_fp = patch_writer.fingerprint();
-  }
+  // The clique keys must identify the catalog as the solve sees it, so the
+  // caller digest is composed with the deployed set in O(deployed) instead
+  // of encoding anything O(blocks).
+  Fingerprint instance_fp;
+  if (memo != nullptr)
+    instance_fp = overlay_digest(caller_fp, instance.deployed);
   DotSolution solution;
   if (options_.use_optimal_solver) {
     solution = OptimalSolver{}.solve(instance, memo,
@@ -345,8 +361,8 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
 
   for (const edge::BlockIndex b : new_blocks) {
     result.deployed_blocks.push_back(b);
-    // Memory is charged from the *original* catalog (the zeroed copies in
-    // the incremental instance only affect the solver's view).
+    // Memory is charged from the catalog's own costs (the deployed overlay
+    // only affects the solver's view).
     result.memory_committed_bytes += catalog.block(b).memory_bytes;
   }
   std::sort(result.deployed_blocks.begin(), result.deployed_blocks.end());
@@ -370,8 +386,13 @@ void OffloadnnController::commit(const DeploymentPlan& plan,
   }
   for (const TaskPlan& task : plan.tasks) {
     if (!task.admitted) continue;
-    for (const edge::BlockIndex b : task.blocks)
+    for (const edge::BlockIndex b : task.blocks) {
+      if (b >= block_memory_.size()) {
+        block_memory_.resize(b + 1, 0.0);
+        block_stamp_.resize(b + 1, 0);
+      }
       block_memory_[b] = catalog.block(b).memory_bytes;
+    }
     active_.push_back(TaskCommitment{
         .name = task.task_name,
         .compute_s = task.admitted_rate * task.inference_time_s,

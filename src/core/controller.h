@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/fingerprint.h"
@@ -128,6 +128,12 @@ class OffloadnnController {
   std::string probe_cache_key(const edge::DnnCatalog& catalog,
                               const std::vector<DotTask>& requests,
                               const Fingerprint* digest = nullptr) const;
+  // The same key from a request set already encoded by encode_task_set, so
+  // a fan-out over many cells encodes its requests once. The bytes equal
+  // the overload above's for the same requests.
+  std::string probe_cache_key(const edge::DnnCatalog& catalog,
+                              std::string_view encoded_requests,
+                              const Fingerprint& digest) const;
 
   // Replaces the plan cache (by default a private per-controller one) —
   // the dispatcher points every cell at one shared instance so identical
@@ -186,10 +192,16 @@ class OffloadnnController {
   std::string plan_key(const edge::DnnCatalog& catalog,
                        const std::vector<DotTask>& requests, bool incremental,
                        const Fingerprint* digest = nullptr) const;
+  // The controller-state part of a plan key: everything before the
+  // encoded request set, ending with the catalog's block count.
+  void write_key_prefix(CanonicalWriter& writer,
+                        const edge::DnnCatalog& catalog,
+                        const Fingerprint& catalog_fp,
+                        bool incremental) const;
   // Commitment phase: records the plan's admitted tasks as active
   // commitments and rebuilds the ledger. `catalog` supplies block memory.
   void commit(const DeploymentPlan& plan, const edge::DnnCatalog& catalog);
-  // Recomputes the ledger and deployed-block list from active_tasks_.
+  // Recomputes the ledger and deployed-block list from active_.
   void rebuild_ledger();
 
   edge::EdgeResources resources_;
@@ -198,9 +210,13 @@ class OffloadnnController {
   edge::ResourceLedger ledger_;
   std::vector<edge::BlockIndex> deployed_blocks_;
   std::vector<TaskCommitment> active_;
-  // Memory of every block ever seen at admission (release needs it after
-  // the admitting catalog has gone out of scope).
-  std::unordered_map<edge::BlockIndex, double> block_memory_;
+  // Memory of every block ever seen at admission, indexed by block (release
+  // needs it after the admitting catalog has gone out of scope).
+  std::vector<double> block_memory_;
+  // rebuild_ledger's "counted already" marks: block_stamp_[b] == stamp_
+  // within one rebuild. Bumping stamp_ clears every mark at once.
+  std::vector<std::uint32_t> block_stamp_;
+  std::uint32_t stamp_ = 0;
   // Solve accelerators (DESIGN.md §8), mutable behind const probes. Both
   // survive reset(): entries are keyed by the full state, so stale keys
   // can never falsely hit — warmth only ever changes speed, not bits.

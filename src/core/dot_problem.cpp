@@ -9,15 +9,19 @@
 namespace odn::core {
 
 void DotInstance::finalize() {
-  edge::validate_tasks([this] {
-    std::vector<edge::TaskSpec> specs;
-    specs.reserve(tasks.size());
-    for (const DotTask& task : tasks) specs.push_back(task.spec);
-    return specs;
-  }());
+  edge::validate_tasks(tasks, &DotTask::spec);
   resources.validate();
   if (!(alpha >= 0.0 && alpha <= 1.0))  // NaN fails it too
     throw std::invalid_argument("DotInstance: alpha outside [0,1]");
+
+  deployed_mask_.assign(deployed.empty() ? 0 : catalog.block_count(), 0);
+  for (const edge::BlockIndex b : deployed) {
+    if (b >= catalog.block_count())
+      throw std::out_of_range(
+          util::fmt("DotInstance: deployed block index {} out of {}", b,
+                    catalog.block_count()));
+    deployed_mask_[b] = 1;
+  }
 
   for (DotTask& task : tasks) {
     for (PathOption& option : task.options) {
@@ -51,6 +55,14 @@ void DotInstance::finalize() {
                      return tasks[a].spec.priority > tasks[b].spec.priority;
                    });
   finalized_ = true;
+}
+
+double DotInstance::path_memory_bytes(const edge::DnnPath& path) const {
+  double total = 0.0;
+  for (std::size_t i = 0; i < path.blocks.size(); ++i)
+    if (edge::first_occurrence(path.blocks, i))
+      total += block_memory_bytes(path.blocks[i]);
+  return total;
 }
 
 const std::vector<std::size_t>& DotInstance::priority_order() const {

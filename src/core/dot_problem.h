@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,15 @@ struct DotTask {
 
 struct DotInstance {
   std::string name;
+  // Copying a catalog shares its block table (edge/dnn_catalog.h), so an
+  // instance built per probe borrows the caller's blocks.
   edge::DnnCatalog catalog;
+  // Blocks already deployed on the server (the paper's dynamic-scenario
+  // rule): resident and trained, so the solve sees them as free — zero
+  // µ(s) and ct(s) — while `catalog` keeps their real costs. Every solver
+  // reads block costs through the accessors below, which apply this
+  // overlay. finalize() validates it and snapshots it into a mask.
+  std::vector<edge::BlockIndex> deployed;
   std::vector<DotTask> tasks;
   edge::EdgeResources resources;
   edge::RadioModel radio = edge::RadioModel::fixed(350e3);
@@ -59,6 +68,20 @@ struct DotInstance {
   // instance to a solver.
   void finalize();
   bool finalized() const noexcept { return finalized_; }
+
+  // µ(s) and ct(s) of block `b` as the solve sees them: 0 for a deployed
+  // block, the catalog's value otherwise.
+  double block_memory_bytes(edge::BlockIndex b) const {
+    const edge::CatalogBlock& block = catalog.block(b);
+    return is_deployed(b) ? 0.0 : block.memory_bytes;
+  }
+  double block_training_cost_s(edge::BlockIndex b) const {
+    const edge::CatalogBlock& block = catalog.block(b);
+    return is_deployed(b) ? 0.0 : block.training_cost_s;
+  }
+  // Σ µ(s) over the path's distinct blocks, through the overlay; the same
+  // summation order as DnnPath::unique_memory_bytes.
+  double path_memory_bytes(const edge::DnnPath& path) const;
 
   // Task indices sorted by decreasing priority (ties: lower index first) —
   // the layer order of the solution tree.
@@ -73,7 +96,14 @@ struct DotInstance {
                               std::size_t rbs) const;
 
  private:
+  bool is_deployed(edge::BlockIndex b) const noexcept {
+    return b < deployed_mask_.size() && deployed_mask_[b] != 0;
+  }
+
   std::vector<std::size_t> priority_order_;
+  // One byte per catalog block, 1 where `deployed` lists it; empty when
+  // nothing is deployed.
+  std::vector<std::uint8_t> deployed_mask_;
   bool finalized_ = false;
 };
 

@@ -64,6 +64,9 @@ class CanonicalWriter {
   void size(std::size_t value) { u64(static_cast<std::uint64_t>(value)); }
   void boolean(bool value) { u8(value ? 1 : 0); }
   void str(std::string_view value);
+  // Appends bytes another writer produced, verbatim (no length prefix):
+  // a component encoded once joins many keys unchanged.
+  void raw(std::string_view bytes) { buffer_.append(bytes); }
 
   const std::string& bytes() const noexcept { return buffer_; }
   std::string take() noexcept { return std::move(buffer_); }
@@ -104,7 +107,8 @@ void encode_task(CanonicalWriter& writer, const DotTask& task);
 // the first index carrying the same name).
 void encode_task_set(CanonicalWriter& writer,
                      const std::vector<DotTask>& tasks);
-// alpha + resources + radio + catalog + task set (instance name excluded).
+// alpha + resources + radio + catalog (+ the deployed overlay when it is
+// non-empty) + task set (instance name excluded).
 void encode_instance(CanonicalWriter& writer, const DotInstance& instance);
 
 Fingerprint fingerprint_task(const DotTask& task);
@@ -115,5 +119,12 @@ Fingerprint fingerprint_instance(const DotInstance& instance);
 // fan one catalog out over many keys (the cluster probe loop) compute it
 // once and pass it down.
 Fingerprint catalog_digest(const edge::DnnCatalog& catalog);
+
+// Digest of the catalog as a solve sees it through a deployed-block
+// overlay (DotInstance::deployed): `catalog_fp` itself when nothing is
+// deployed, else a 'P'-tagged composition of `catalog_fp` and the deployed
+// list — O(deployed), never a re-encode of the catalog.
+Fingerprint overlay_digest(const Fingerprint& catalog_fp,
+                           const std::vector<edge::BlockIndex>& deployed);
 
 }  // namespace odn::core

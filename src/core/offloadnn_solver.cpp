@@ -124,7 +124,7 @@ DotSolution OffloadnnSolver::solve_first_branch(
       double memory_delta = 0.0;
       for (const edge::BlockIndex b : option.path.blocks)
         if (block_use[b] == 0)
-          memory_delta += instance.catalog.block(b).memory_bytes;
+          memory_delta += instance.block_memory_bytes(b);
       if (memory_used + memory_delta >
           instance.resources.memory_capacity_bytes * (1.0 + 1e-12)) {
         ++pruned;
@@ -184,8 +184,8 @@ DotSolution OffloadnnSolver::solve_beam(const DotInstance& instance,
         double training_delta = 0.0;
         for (const edge::BlockIndex b : option.path.blocks)
           if (parent.block_use[b] == 0) {
-            memory_delta += instance.catalog.block(b).memory_bytes;
-            training_delta += instance.catalog.block(b).training_cost_s;
+            memory_delta += instance.block_memory_bytes(b);
+            training_delta += instance.block_training_cost_s(b);
           }
         if (parent.memory_used + memory_delta >
             instance.resources.memory_capacity_bytes * (1.0 + 1e-12)) {

@@ -52,10 +52,10 @@ class OffloadnnSolver {
   DotSolution solve(const DotInstance& instance, SolverCache* cache) const;
   // As above, with the instance catalog's key digest precomputed by the
   // caller — the one O(blocks) key component, so callers that already know
-  // it (the controller composes it from the caller catalog's digest and
-  // the deployed-block patch) skip the encode entirely. `catalog_fp` must
-  // identify instance.catalog's content: pass catalog_digest(...) or a
-  // composed lineage digest that is injective over the content.
+  // it (the controller keeps the caller catalog's digest) skip the encode
+  // entirely. `catalog_fp` must identify the catalog as the solve sees it,
+  // overlay included: overlay_digest(catalog_digest(instance.catalog),
+  // instance.deployed).
   DotSolution solve(const DotInstance& instance, SolverCache* cache,
                     const Fingerprint* catalog_fp) const;
 

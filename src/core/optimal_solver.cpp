@@ -102,8 +102,8 @@ void dfs(DfsContext& ctx, std::size_t layer_index) {
     double training_delta = 0.0;
     for (const edge::BlockIndex b : option.path.blocks) {
       if (ctx.block_use[b]++ == 0) {
-        memory_delta += ctx.instance.catalog.block(b).memory_bytes;
-        training_delta += ctx.instance.catalog.block(b).training_cost_s;
+        memory_delta += ctx.instance.block_memory_bytes(b);
+        training_delta += ctx.instance.block_training_cost_s(b);
       }
     }
     ctx.memory_used += memory_delta;
@@ -241,9 +241,9 @@ DotSolution OptimalSolver::solve(const DotInstance& instance,
             instance.tasks[task0].options[vertex.option_index];
         for (const edge::BlockIndex b : option.path.blocks) {
           if (ctx.block_use[b]++ == 0) {
-            ctx.memory_used += instance.catalog.block(b).memory_bytes;
+            ctx.memory_used += instance.block_memory_bytes(b);
             ctx.training_committed +=
-                instance.catalog.block(b).training_cost_s;
+                instance.block_training_cost_s(b);
           }
         }
         if (ctx.memory_used <=

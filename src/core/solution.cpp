@@ -23,7 +23,8 @@ CostBreakdown DotEvaluator::evaluate(
                   instance_.tasks.size()));
 
   CostBreakdown cost;
-  std::unordered_set<edge::BlockIndex> active_blocks;
+  // Blocks some earlier admitted task already pays for (kSharedOnce).
+  std::vector<bool> active_blocks(instance_.catalog.block_count(), false);
 
   for (std::size_t t = 0; t < decisions.size(); ++t) {
     const TaskDecision& decision = decisions[t];
@@ -42,21 +43,22 @@ CostBreakdown DotEvaluator::evaluate(
                            static_cast<double>(instance_.resources.total_rbs);
     cost.rbs_allocated += decision.rbs;
 
+    const std::vector<edge::BlockIndex>& blocks = option.path.blocks;
     if (accounting_ == MemoryAccounting::kSharedOnce) {
-      for (const edge::BlockIndex b : option.path.blocks) {
-        if (active_blocks.insert(b).second) {
-          cost.memory_bytes += instance_.catalog.block(b).memory_bytes;
-          cost.training_cost_s += instance_.catalog.block(b).training_cost_s;
+      for (const edge::BlockIndex b : blocks) {
+        if (!active_blocks.at(b)) {
+          active_blocks[b] = true;
+          cost.memory_bytes += instance_.block_memory_bytes(b);
+          cost.training_cost_s += instance_.block_training_cost_s(b);
         }
       }
     } else {
       // Per-task accounting: every admitted task pays its full path, and
       // within the path duplicated block references still count once.
-      std::unordered_set<edge::BlockIndex> path_blocks;
-      for (const edge::BlockIndex b : option.path.blocks) {
-        if (path_blocks.insert(b).second) {
-          cost.memory_bytes += instance_.catalog.block(b).memory_bytes;
-          cost.training_cost_s += instance_.catalog.block(b).training_cost_s;
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        if (edge::first_occurrence(blocks, i)) {
+          cost.memory_bytes += instance_.block_memory_bytes(blocks[i]);
+          cost.training_cost_s += instance_.block_training_cost_s(blocks[i]);
         }
       }
     }
@@ -139,7 +141,7 @@ std::vector<std::string> DotEvaluator::violations(
     for (const edge::BlockIndex b : option.path.blocks)
       if (accounting_ == MemoryAccounting::kPerTask ||
           active_blocks.insert(b).second)
-        memory += instance_.catalog.block(b).memory_bytes;
+        memory += instance_.block_memory_bytes(b);
   }
 
   // (1b) memory.

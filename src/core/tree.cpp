@@ -41,8 +41,10 @@ SolutionTree::SolutionTree(const DotInstance& instance, SolverCache* cache,
 
   Fingerprint catalog_digest;
   if (cache != nullptr)
-    catalog_digest =
-        digest != nullptr ? *digest : core::catalog_digest(instance.catalog);
+    catalog_digest = digest != nullptr
+                         ? *digest
+                         : overlay_digest(core::catalog_digest(instance.catalog),
+                                          instance.deployed);
 
   layers_.reserve(instance.tasks.size());
   for (const std::size_t task_index : instance.priority_order()) {
@@ -79,7 +81,7 @@ SolutionTree::SolutionTree(const DotInstance& instance, SolverCache* cache,
           .option_index = o,
           .inference_time_s = option.inference_time_s,
           .accuracy = option.accuracy,
-          .memory_bytes = instance.catalog.path_memory_bytes(option.path),
+          .memory_bytes = instance.path_memory_bytes(option.path),
           .input_bits = option.input_bits,
       });
     }

@@ -44,8 +44,9 @@ class SolutionTree {
   // falls back to the cold build; the built layers are bit-identical
   // either way. The cache must not be shared across threads.
   SolutionTree(const DotInstance& instance, SolverCache* cache);
-  // As above with a precomputed catalog_digest(instance.catalog), so a
-  // solver that already encoded the catalog for its own keys does not
+  // As above with the instance's catalog digest precomputed —
+  // overlay_digest(catalog_digest(instance.catalog), instance.deployed) —
+  // so a solver that already encoded the catalog for its own keys does not
   // encode it a second time here. nullptr recomputes internally.
   SolutionTree(const DotInstance& instance, SolverCache* cache,
                const Fingerprint* digest);

@@ -1,7 +1,6 @@
 #include "edge/dnn_catalog.h"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "util/fmt.h"
 
@@ -26,10 +25,10 @@ double DnnPath::inference_time_s(
 
 double DnnPath::unique_memory_bytes(
     const std::vector<CatalogBlock>& blocks_table) const {
-  std::unordered_set<BlockIndex> seen;
   double total = 0.0;
-  for (const BlockIndex b : blocks)
-    if (seen.insert(b).second) total += blocks_table.at(b).memory_bytes;
+  for (std::size_t i = 0; i < blocks.size(); ++i)
+    if (first_occurrence(blocks, i))
+      total += blocks_table.at(blocks[i]).memory_bytes;
   return total;
 }
 
@@ -38,40 +37,37 @@ BlockIndex DnnCatalog::add_block(CatalogBlock block) {
       block.training_cost_s < 0.0)
     throw std::invalid_argument(
         util::fmt("DnnCatalog: negative cost on block '{}'", block.name));
-  blocks_.push_back(std::move(block));
-  return static_cast<BlockIndex>(blocks_.size() - 1);
+  if (blocks_ == nullptr)
+    blocks_ = std::make_shared<std::vector<CatalogBlock>>();
+  else if (blocks_.use_count() > 1)
+    blocks_ = std::make_shared<std::vector<CatalogBlock>>(*blocks_);
+  blocks_->push_back(std::move(block));
+  return static_cast<BlockIndex>(blocks_->size() - 1);
 }
 
-void DnnCatalog::mark_deployed(BlockIndex index) {
-  if (index >= blocks_.size())
-    throw std::out_of_range(
-        util::fmt("DnnCatalog: block index {} out of {}", index,
-                  blocks_.size()));
-  blocks_[index].memory_bytes = 0.0;
-  blocks_[index].training_cost_s = 0.0;
+const std::vector<CatalogBlock>& DnnCatalog::empty_table() noexcept {
+  static const std::vector<CatalogBlock> kEmpty;
+  return kEmpty;
 }
 
-const CatalogBlock& DnnCatalog::block(BlockIndex index) const {
-  if (index >= blocks_.size())
-    throw std::out_of_range(
-        util::fmt("DnnCatalog: block index {} out of {}", index,
-                  blocks_.size()));
-  return blocks_[index];
+void DnnCatalog::throw_bad_index(BlockIndex index) const {
+  throw std::out_of_range(util::fmt("DnnCatalog: block index {} out of {}",
+                                    index, block_count()));
 }
 
 double DnnCatalog::path_inference_time_s(const DnnPath& path) const {
-  return path.inference_time_s(blocks_);
+  return path.inference_time_s(blocks());
 }
 
 double DnnCatalog::path_memory_bytes(const DnnPath& path) const {
-  return path.unique_memory_bytes(blocks_);
+  return path.unique_memory_bytes(blocks());
 }
 
 double DnnCatalog::path_training_cost_s(const DnnPath& path) const {
-  std::unordered_set<BlockIndex> seen;
   double total = 0.0;
-  for (const BlockIndex b : path.blocks)
-    if (seen.insert(b).second) total += block(b).training_cost_s;
+  for (std::size_t i = 0; i < path.blocks.size(); ++i)
+    if (first_occurrence(path.blocks, i))
+      total += block(path.blocks[i]).training_cost_s;
   return total;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,17 @@ struct CatalogBlock {
   Architecture architecture = Architecture::kResNet;
 };
 
+// Whether position `i` of a block sequence holds the first occurrence of
+// its block. Every "distinct blocks of a path" sum dedupes with this
+// linear scan: a path holds a handful of blocks, and the sums must add
+// each block at its first appearance, in path order, to stay bit-stable.
+inline bool first_occurrence(const std::vector<BlockIndex>& blocks,
+                             std::size_t i) {
+  for (std::size_t j = 0; j < i; ++j)
+    if (blocks[j] == blocks[i]) return false;
+  return true;
+}
+
 // A path π on a DNN structure: the ordered block sequence executing one
 // inference, with its experimentally measured accuracy at full input
 // quality.
@@ -61,19 +73,26 @@ struct DnnPath {
       const std::vector<CatalogBlock>& blocks_table) const;
 };
 
+// The block table is shared, immutable storage: copying a catalog is O(1)
+// and the copy reads the same blocks. add_block copies the table first
+// when another catalog shares it, so a copy never changes its source.
+// This is what lets every incremental probe's DotInstance hold the
+// caller's catalog by value; the already-deployed blocks are marked
+// beside it (DotInstance::deployed), never written into the table.
 class DnnCatalog {
  public:
   BlockIndex add_block(CatalogBlock block);
 
-  const CatalogBlock& block(BlockIndex index) const;
-  std::size_t block_count() const noexcept { return blocks_.size(); }
-  const std::vector<CatalogBlock>& blocks() const noexcept { return blocks_; }
-
-  // Zeroes µ(s) and ct(s) for an already-deployed block: it is resident
-  // and trained, so an incremental solve sees it as free (the paper's
-  // dynamic-scenario rule). The controller applies this to its private
-  // instance copy in O(deployed) — repository catalogs are never mutated.
-  void mark_deployed(BlockIndex index);
+  // Inline: every solver reads block costs through this in its inner loop.
+  const CatalogBlock& block(BlockIndex index) const {
+    const std::vector<CatalogBlock>& table = blocks();
+    if (index >= table.size()) throw_bad_index(index);
+    return table[index];
+  }
+  std::size_t block_count() const noexcept { return blocks().size(); }
+  const std::vector<CatalogBlock>& blocks() const noexcept {
+    return blocks_ != nullptr ? *blocks_ : empty_table();
+  }
 
   // Sum of c(s) over a path's blocks.
   double path_inference_time_s(const DnnPath& path) const;
@@ -88,7 +107,11 @@ class DnnCatalog {
   void validate_path(const DnnPath& path) const;
 
  private:
-  std::vector<CatalogBlock> blocks_;
+  [[noreturn]] void throw_bad_index(BlockIndex index) const;
+  static const std::vector<CatalogBlock>& empty_table() noexcept;
+
+  // Null until the first add_block.
+  std::shared_ptr<std::vector<CatalogBlock>> blocks_;
 };
 
 }  // namespace odn::edge

@@ -1,7 +1,6 @@
 #include "edge/task.h"
 
 #include <cmath>
-#include <unordered_set>
 
 #include "util/fmt.h"
 
@@ -45,14 +44,9 @@ void TaskSpec::validate() const {
   }
 }
 
-void validate_tasks(const std::vector<TaskSpec>& tasks) {
-  std::unordered_set<std::string> names;
-  for (const TaskSpec& task : tasks) {
-    task.validate();
-    if (!names.insert(task.name).second)
-      throw std::invalid_argument(
-          util::fmt("validate_tasks: duplicate task name '{}'", task.name));
-  }
+void throw_duplicate_task_name(const std::string& name) {
+  throw std::invalid_argument(
+      util::fmt("validate_tasks: duplicate task name '{}'", name));
 }
 
 }  // namespace odn::edge

@@ -8,8 +8,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace odn::edge {
@@ -46,7 +49,19 @@ struct TaskSpec {
   void validate() const;
 };
 
-// Validates a whole task set (distinct names, sane ranges).
-void validate_tasks(const std::vector<TaskSpec>& tasks);
+[[noreturn]] void throw_duplicate_task_name(const std::string& name);
+
+// Validates a whole task set (distinct names, sane ranges). `spec_of` maps
+// an element of `tasks` to its TaskSpec (a member pointer works), so specs
+// inside larger records are validated in place.
+template <typename Range, typename SpecOf = std::identity>
+void validate_tasks(const Range& tasks, SpecOf spec_of = {}) {
+  std::unordered_set<std::string_view> names;
+  for (const auto& task : tasks) {
+    const TaskSpec& spec = std::invoke(spec_of, task);
+    spec.validate();
+    if (!names.insert(spec.name).second) throw_duplicate_task_name(spec.name);
+  }
+}
 
 }  // namespace odn::edge

@@ -68,12 +68,19 @@ double percentile(std::vector<double> values, double pct) {
   if (values.empty()) throw std::invalid_argument("percentile: empty input");
   if (pct < 0.0 || pct > 100.0)
     throw std::invalid_argument("percentile: pct out of [0,100]");
-  std::sort(values.begin(), values.end());
   const double rank = pct / 100.0 * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const auto hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  // Selection instead of a full sort: nth_element places the lo-th order
+  // statistic and leaves only larger-or-equal values after it, so the
+  // hi-th is their minimum. Both are the doubles a sort would put there.
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double lo_value = *lo_it;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(lo_it + 1, values.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 bool approx_equal(double a, double b, double tol) noexcept {

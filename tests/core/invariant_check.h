@@ -41,11 +41,15 @@ struct DotUsage {
   std::unordered_set<edge::BlockIndex> active_blocks;
 };
 
+// `overlay`, when given, is the instance whose deployed-block overlay
+// prices the blocks (a deployed block holds no new memory); otherwise the
+// catalog's own µ(s) applies.
 inline void check_task_invariants(const core::DotTask& task,
                                   const core::TaskDecision& decision,
                                   const edge::DnnCatalog& catalog,
                                   const edge::RadioModel& radio,
-                                  DotUsage& usage) {
+                                  DotUsage& usage,
+                                  const core::DotInstance* overlay = nullptr) {
   constexpr double kTol = 1e-9;
   const std::string& name = task.spec.name;
 
@@ -92,7 +96,9 @@ inline void check_task_invariants(const core::DotTask& task,
   // once no matter how many admitted paths traverse it.
   for (const edge::BlockIndex b : option.path.blocks)
     if (usage.active_blocks.insert(b).second)
-      usage.memory_bytes += catalog.block(b).memory_bytes;
+      usage.memory_bytes += overlay != nullptr
+                                ? overlay->block_memory_bytes(b)
+                                : catalog.block(b).memory_bytes;
 }
 
 inline void check_capacity_invariants(const DotUsage& usage,
@@ -114,27 +120,32 @@ inline void check_capacity_invariants(const DotUsage& usage,
 }
 
 // Full constraint sweep for a solution over the given task set.
+// `overlay` as in check_task_invariants.
 inline void check_dot_invariants(const std::vector<core::DotTask>& tasks,
                                  const std::vector<core::TaskDecision>& decisions,
                                  const edge::DnnCatalog& catalog,
                                  const edge::EdgeResources& resources,
                                  const edge::RadioModel& radio,
-                                 const std::string& context = "solution") {
+                                 const std::string& context = "solution",
+                                 const core::DotInstance* overlay = nullptr) {
   ASSERT_EQ(decisions.size(), tasks.size())
       << context << ": decision vector size mismatch";
   DotUsage usage;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     SCOPED_TRACE(::testing::Message() << context << ", task " << t);
-    check_task_invariants(tasks[t], decisions[t], catalog, radio, usage);
+    check_task_invariants(tasks[t], decisions[t], catalog, radio, usage,
+                          overlay);
   }
   check_capacity_invariants(usage, resources, context);
 }
 
+// Instance-level sweep: block memory is read through the instance's
+// deployed-block overlay, as the solvers read it.
 inline void check_dot_invariants(const core::DotInstance& instance,
                                  const std::vector<core::TaskDecision>& decisions,
                                  const std::string& context = "solution") {
   check_dot_invariants(instance.tasks, decisions, instance.catalog,
-                       instance.resources, instance.radio, context);
+                       instance.resources, instance.radio, context, &instance);
 }
 
 // Controller-facing variant: a DeploymentPlan's embedded solution must

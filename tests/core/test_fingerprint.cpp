@@ -253,5 +253,24 @@ TEST(Fingerprint, ProbeCacheKeyIsPinned) {
   EXPECT_EQ(catalog_digest(scenario.catalog).hex(), "5d8adf1972b61b354ee3d4a2073200a9");
 }
 
+// The dispatcher encodes a request set once and appends it to each cell's
+// state prefix; the result must be the key a cell builds on its own, with
+// and without deployed blocks in the state.
+TEST(Fingerprint, PreEncodedRequestsGiveTheSameProbeKey) {
+  const DotInstance scenario = make_large_scenario(RequestRate::kLow);
+  OffloadnnController controller(scenario.resources, scenario.radio);
+  const Fingerprint digest = catalog_digest(scenario.catalog);
+  for (std::size_t t = 0; t < 6; ++t) {
+    const std::vector<DotTask> requests{scenario.tasks[t + 1]};
+    CanonicalWriter writer;
+    encode_task_set(writer, requests);
+    EXPECT_EQ(controller.probe_cache_key(scenario.catalog, writer.bytes(),
+                                         digest),
+              controller.probe_cache_key(scenario.catalog, requests));
+    controller.admit_incremental(scenario.catalog, {scenario.tasks[t]});
+  }
+  EXPECT_FALSE(controller.deployed_blocks().empty());
+}
+
 }  // namespace
 }  // namespace odn::core

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 namespace odn::edge {
 namespace {
 
@@ -26,6 +32,46 @@ TEST(DnnCatalog, AddAndLookup) {
 TEST(DnnCatalog, BadIndexThrows) {
   const DnnCatalog catalog;
   EXPECT_THROW(catalog.block(0), std::out_of_range);
+}
+
+TEST(DnnCatalog, CopySharesTheBlockTable) {
+  const DnnCatalog original = sample_catalog();
+  const DnnCatalog copy = original;
+  EXPECT_EQ(&copy.blocks(), &original.blocks());
+  EXPECT_EQ(copy.block_count(), original.block_count());
+}
+
+// Field-by-field image of a catalog, doubles as bit patterns.
+std::vector<std::uint64_t> catalog_bits(const DnnCatalog& catalog) {
+  std::vector<std::uint64_t> bits;
+  for (const CatalogBlock& block : catalog.blocks()) {
+    bits.push_back(std::hash<std::string>{}(block.name));
+    bits.push_back(static_cast<std::uint64_t>(block.kind));
+    bits.push_back(std::bit_cast<std::uint64_t>(block.inference_time_s));
+    bits.push_back(std::bit_cast<std::uint64_t>(block.memory_bytes));
+    bits.push_back(std::bit_cast<std::uint64_t>(block.training_cost_s));
+    bits.push_back(static_cast<std::uint64_t>(block.architecture));
+  }
+  return bits;
+}
+
+TEST(DnnCatalog, AddBlockOnACopyLeavesTheOriginal) {
+  const DnnCatalog original = sample_catalog();
+  const std::vector<std::uint64_t> before = catalog_bits(original);
+  DnnCatalog copy = original;
+  EXPECT_EQ(copy.add_block({"extra", BlockKind::kFineTuned, 4e-3, 5e6, 7.0}),
+            4u);
+  EXPECT_EQ(original.block_count(), 4u);
+  EXPECT_EQ(catalog_bits(original), before);
+  EXPECT_EQ(copy.block_count(), 5u);
+  EXPECT_NE(&copy.blocks(), &original.blocks());
+
+  // And the other way round: extending the source leaves its copy alone.
+  DnnCatalog source = sample_catalog();
+  const DnnCatalog snapshot = source;
+  source.add_block({"late", BlockKind::kPruned, 1e-3, 2e6, 3.0});
+  EXPECT_EQ(snapshot.block_count(), 4u);
+  EXPECT_EQ(catalog_bits(snapshot), before);
 }
 
 TEST(DnnCatalog, NegativeCostsRejected) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace odn::util {
 namespace {
@@ -119,6 +124,38 @@ TEST(Percentile, AllEqualSamplesCollapse) {
   std::vector<double> values(7, 3.25);
   for (const double pct : {0.0, 50.0, 95.0, 100.0})
     EXPECT_DOUBLE_EQ(percentile(values, pct), 3.25);
+}
+
+// The percentile of a full sort, written out: the reference the selection
+// in percentile() must reproduce bit for bit.
+double sorted_percentile(std::vector<double> values, double pct) {
+  std::sort(values.begin(), values.end());
+  const double rank = pct / 100.0 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
+TEST(Percentile, SelectionIsBitEqualToSortedReference) {
+  Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<std::size_t>(
+        trial < 100 ? 1 + trial % 2 : rng.uniform_int(1, 400));
+    std::vector<double> values(n);
+    for (double& value : values) {
+      // A coarse grid makes duplicates common.
+      value = rng.bernoulli(0.5)
+                  ? static_cast<double>(rng.uniform_int(0, 20)) * 0.125
+                  : rng.uniform(0.0, 3.0);
+    }
+    for (const double pct : {0.0, 50.0, 95.0, 100.0, rng.uniform(0.0, 100.0)}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << ", n " << n << ", pct " << pct);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(values, pct)),
+                std::bit_cast<std::uint64_t>(sorted_percentile(values, pct)));
+    }
+  }
 }
 
 TEST(ApproxEqual, RelativeAndAbsolute) {
