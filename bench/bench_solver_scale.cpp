@@ -1,11 +1,11 @@
 // Warm-start/caching scalability bench (DESIGN.md §8): N equal cells
 // behind the ClusterDispatcher's cost_probe policy serving T active tasks,
 // churned by a bounded fraction per epoch. Runs the identical seeded churn
-// sequence twice — cold (every cache disabled) and warm (the defaults:
-// shared cross-cell plan cache + per-cell clique memos) — times each
-// epoch, and byte-compares the two admission transcripts (raw IEEE-754
-// bit patterns, no tolerance): the warm run must place every task exactly
-// as the cold run does, or the bench fails.
+// sequence twice — cold (the plan cache disabled) and warm (the default
+// shared cross-cell plan cache, the one cache in front of the solver) —
+// times each epoch, and byte-compares the two admission transcripts (raw
+// IEEE-754 bit patterns, no tolerance): the warm run must place every task
+// exactly as the cold run does, or the bench fails.
 //
 //   $ ./bench_solver_scale [--tasks T1,T2,...] [--cells N] [--epochs E]
 //                          [--churn F] [--seed S] [--types K]
@@ -99,7 +99,6 @@ RunResult run_churn(const odn::core::DotInstance& world,
   core::OffloadnnController::Options controller_options;
   controller_options.alpha = world.alpha;
   controller_options.cache.plan_cache = caches_on;
-  controller_options.cache.solver_cache = caches_on;
 
   std::vector<cluster::CellSpec> specs;
   specs.reserve(cells);

@@ -190,8 +190,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   // admission. Skipped when no cache would read it.
   core::Fingerprint catalog_fp;
   const core::Fingerprint* catalog_fp_ptr = nullptr;
-  if (dispatcher_.plan_cache() != nullptr ||
-      dispatcher_.cell(0).controller().solver_cache() != nullptr) {
+  if (dispatcher_.plan_cache() != nullptr) {
     catalog_fp = core::catalog_digest(catalog_);
     catalog_fp_ptr = &catalog_fp;
   }

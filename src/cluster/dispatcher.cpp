@@ -72,14 +72,6 @@ ClusterDispatcher::ClusterDispatcher(
   for (EdgeCell& cell : cells_) cell.controller().set_plan_cache(plan_cache_);
 }
 
-bool ClusterDispatcher::caching_enabled() const noexcept {
-  // Cells share one Options struct (set in the constructor), so the first
-  // cell's clique memo is representative of all of them.
-  return plan_cache_ != nullptr ||
-         (!cells_.empty() &&
-          cells_.front().controller().solver_cache() != nullptr);
-}
-
 std::vector<double> ClusterDispatcher::probe_objectives(
     const edge::DnnCatalog& catalog, const core::DotTask& task,
     const core::Fingerprint* digest) const {
@@ -120,9 +112,9 @@ std::vector<double> ClusterDispatcher::probe_objectives(
   // verdict settled onto every cell in the
   // group. The shared cache is only touched from the serial phases; only
   // distinct cache-missing sub-instances fan out to the pool, each solved
-  // through probe_incremental_uncached against a different cell's private
-  // clique memo. Verdicts, per-cell admit/reject counters and cache
-  // hit/miss counts are therefore all ODN_THREADS-invariant.
+  // cold through a different cell's probe_incremental_uncached. Verdicts,
+  // per-cell admit/reject counters and cache hit/miss counts are therefore
+  // all ODN_THREADS-invariant.
   const std::vector<core::DotTask> requests{task};
   struct Group {
     std::string key;
@@ -187,14 +179,14 @@ std::vector<double> ClusterDispatcher::probe_objectives(
   }
 
   // Phase 2: solve each missing group once, through its first cell. Cells
-  // appear in exactly one group, so no controller (and no private solver
-  // memo) is ever touched by two threads.
+  // appear in exactly one group, so no controller is ever touched by two
+  // threads.
   const auto solve_one = [&](std::size_t m) {
     Group& group = groups[missing[m]];
     group.solved =
         cells_[group.cells.front()]
             .controller()
-            .probe_incremental_uncached(catalog, requests, &digest_local);
+            .probe_incremental_uncached(catalog, requests);
   };
   if (options_.parallel_probe && missing.size() > 1) {
     util::global_parallel_for(missing.size(), solve_one);
@@ -277,7 +269,7 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
   // it: the cold path must not pay for the warm path's keys).
   core::Fingerprint digest_local;
   const core::Fingerprint* digest_ptr = digest;
-  if (digest_ptr == nullptr && caching_enabled()) {
+  if (digest_ptr == nullptr && plan_cache_ != nullptr) {
     digest_local = core::catalog_digest(catalog);
     digest_ptr = &digest_local;
   }
@@ -372,7 +364,7 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
   // without a cell.
   core::Fingerprint digest_local;
   const core::Fingerprint* digest_ptr = digest;
-  if (digest_ptr == nullptr && caching_enabled()) {
+  if (digest_ptr == nullptr && plan_cache_ != nullptr) {
     digest_local = core::catalog_digest(catalog);
     digest_ptr = &digest_local;
   }

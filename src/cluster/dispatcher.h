@@ -145,11 +145,6 @@ class ClusterDispatcher {
                                        const core::DotTask& task,
                                        const core::Fingerprint* digest) const;
 
-  // Whether any cache that keys on the catalog is live (the shared plan
-  // cache or the cells' clique memos) — if none is, computing a catalog
-  // digest up front would be pure overhead on the cold path.
-  bool caching_enabled() const noexcept;
-
   std::vector<EdgeCell> cells_;
   DispatcherOptions options_;
   std::vector<bool> accepting_;  // admission gate per cell (fault state)

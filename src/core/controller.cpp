@@ -55,8 +55,6 @@ OffloadnnController::OffloadnnController(const edge::EdgeResources& resources,
       ledger_(resources) {
   if (options_.cache.plan_cache)
     plan_cache_ = std::make_shared<PlanCache>(options_.cache.plan_capacity);
-  if (options_.cache.solver_cache)
-    solver_cache_ = std::make_unique<SolverCache>(options_.cache.solver);
 }
 
 void OffloadnnController::set_plan_cache(std::shared_ptr<PlanCache> cache) {
@@ -160,12 +158,11 @@ DeploymentPlan OffloadnnController::probe_incremental(
 }
 
 DeploymentPlan OffloadnnController::probe_incremental_uncached(
-    const edge::DnnCatalog& catalog, std::vector<DotTask> requests,
-    const Fingerprint* digest) const {
+    const edge::DnnCatalog& catalog, std::vector<DotTask> requests) const {
   ODN_TRACE_SPAN("controller", "controller.probe_incremental");
   ControllerMetrics::instance().probes.inc();
   return plan(catalog, std::move(requests), /*incremental=*/true,
-              /*use_plan_cache=*/false, digest);
+              /*use_plan_cache=*/false);
 }
 
 std::string OffloadnnController::probe_cache_key(
@@ -230,22 +227,8 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   // histogram is replayed to keep its totals equal to the cold path's.
   std::string cache_key;
   PlanCache* cache = use_plan_cache ? plan_cache_.get() : nullptr;
-  SolverCache* const memo = solver_cache_.get();
-
-  // The caller catalog's digest — the one O(blocks) key component — is
-  // computed at most once per plan and shared by the plan key and (through
-  // the deployed-block composition below) the clique memo keys. Callers
-  // that fan many plans out against one catalog pass it in and the encode
-  // disappears entirely.
-  Fingerprint caller_fp;
-  if (digest != nullptr) {
-    caller_fp = *digest;
-  } else if (cache != nullptr || memo != nullptr) {
-    caller_fp = catalog_digest(catalog);
-  }
-
   if (cache != nullptr) {
-    cache_key = plan_key(catalog, requests, incremental, &caller_fp);
+    cache_key = plan_key(catalog, requests, incremental, digest);
     if (const DeploymentPlan* hit = cache->find(cache_key)) {
       ODN_TRACE_SPAN("solver", "solver.warm");
       DeploymentPlan result = *hit;
@@ -288,21 +271,11 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   }
   instance.finalize();
 
-  // Step 3: solve DOT (warm-started through the clique memo when on).
-  // The clique keys must identify the catalog as the solve sees it, so the
-  // caller digest is composed with the deployed set in O(deployed) instead
-  // of encoding anything O(blocks).
-  Fingerprint instance_fp;
-  if (memo != nullptr)
-    instance_fp = overlay_digest(caller_fp, instance.deployed);
-  DotSolution solution;
-  if (options_.use_optimal_solver) {
-    solution = OptimalSolver{}.solve(instance, memo,
-                                     memo != nullptr ? &instance_fp : nullptr);
-  } else {
-    solution = OffloadnnSolver{options_.heuristic}.solve(
-        instance, memo, memo != nullptr ? &instance_fp : nullptr);
-  }
+  // Step 3: solve DOT.
+  const DotSolution solution =
+      options_.use_optimal_solver
+          ? OptimalSolver{}.solve(instance)
+          : OffloadnnSolver{options_.heuristic}.solve(instance);
 
   // Steps 4-6: allocate resources, deploy blocks, compute per-task plans.
   // Plan assembly splits into a parallel phase — each task's plan (with its

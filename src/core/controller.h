@@ -23,26 +23,23 @@
 #include "core/offloadnn_solver.h"
 #include "core/optimal_solver.h"
 #include "core/solution.h"
-#include "core/solver_cache.h"
 #include "edge/resources.h"
 
 namespace odn::core {
 
 class PlanCache;
+class SolverCache;
 
-// Warm-start/caching knobs (DESIGN.md §8). Defaults keep every cache on:
-// cached paths return results bit-identical to a cold solve (the
+// The plan cache, the one cache in front of the solvers (DESIGN.md §8).
+// On by default: a hit returns bytes identical to a cold solve (the
 // differential suite enforces this), so the only observable differences
-// are speed and the odn_*_cache_* metrics.
+// are speed and the odn_plan_cache_* metrics.
 struct CacheOptions {
   // Memoize whole DeploymentPlans keyed by the exact (state, request-set)
   // encoding. The cluster dispatcher replaces the per-controller cache
   // with one shared across cells.
   bool plan_cache = true;
   std::size_t plan_capacity = 256;
-  // Memoize per-task cliques inside the solvers' tree construction.
-  bool solver_cache = true;
-  SolverCache::Options solver{};
 };
 
 struct TaskPlan {
@@ -111,12 +108,12 @@ class OffloadnnController {
                                    std::vector<DotTask> requests,
                                    const Fingerprint* digest = nullptr) const;
 
-  // probe_incremental with the plan cache bypassed (the clique memo still
-  // applies). The cluster dispatcher solves shared-cache misses through this
-  // in parallel, keeping every access to the shared cache itself serial.
+  // probe_incremental with the plan cache bypassed: a cold solve, so it
+  // builds no key and needs no digest. The cluster dispatcher solves
+  // shared-cache misses through this in parallel, keeping every access to
+  // the shared cache itself serial.
   DeploymentPlan probe_incremental_uncached(
-      const edge::DnnCatalog& catalog, std::vector<DotTask> requests,
-      const Fingerprint* digest = nullptr) const;
+      const edge::DnnCatalog& catalog, std::vector<DotTask> requests) const;
 
   // Canonical cache key of the incremental sub-instance `requests` against
   // the current committed state (options, discounted capacities, ledger
@@ -142,9 +139,9 @@ class OffloadnnController {
   const std::shared_ptr<PlanCache>& plan_cache() const noexcept {
     return plan_cache_;
   }
-  const SolverCache* solver_cache() const noexcept {
-    return solver_cache_.get();
-  }
+  // Always nullptr: the clique memo is gone, and the accessor exists only
+  // for the benchmark driver (see core/solver_cache.h).
+  const SolverCache* solver_cache() const noexcept { return nullptr; }
 
   // Task departure (dynamic churn): releases the task's radio slice and
   // compute commitment and undeploys blocks no other active task uses.
@@ -180,8 +177,8 @@ class OffloadnnController {
 
   // Solve-and-assemble phase: builds the (possibly discounted) instance,
   // runs the solver and produces the full plan. Const — commits nothing
-  // (the caches it warms are accelerators whose hits are bit-identical to
-  // cold solves, so probe results stay semantically const).
+  // (the plan cache it warms is an accelerator whose hits are bit-identical
+  // to cold solves, so probe results stay semantically const).
   DeploymentPlan plan(const edge::DnnCatalog& catalog,
                       std::vector<DotTask> requests, bool incremental,
                       bool use_plan_cache,
@@ -217,11 +214,10 @@ class OffloadnnController {
   // within one rebuild. Bumping stamp_ clears every mark at once.
   std::vector<std::uint32_t> block_stamp_;
   std::uint32_t stamp_ = 0;
-  // Solve accelerators (DESIGN.md §8), mutable behind const probes. Both
-  // survive reset(): entries are keyed by the full state, so stale keys
+  // The solve accelerator (DESIGN.md §8), mutable behind const probes. It
+  // survives reset(): entries are keyed by the full state, so stale keys
   // can never falsely hit — warmth only ever changes speed, not bits.
   mutable std::shared_ptr<PlanCache> plan_cache_;
-  mutable std::unique_ptr<SolverCache> solver_cache_;
 };
 
 }  // namespace odn::core

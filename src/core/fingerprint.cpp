@@ -13,7 +13,6 @@ constexpr std::uint8_t kTagTask = 0x54;       // 'T'
 constexpr std::uint8_t kTagTaskSet = 0x53;    // 'S'
 constexpr std::uint8_t kTagInstance = 0x49;   // 'I'
 constexpr std::uint8_t kTagDeployed = 0x44;   // 'D'
-constexpr std::uint8_t kTagOverlay = 0x50;    // 'P'
 
 }  // namespace
 
@@ -145,18 +144,6 @@ Fingerprint fingerprint_instance(const DotInstance& instance) {
 Fingerprint catalog_digest(const edge::DnnCatalog& catalog) {
   CanonicalWriter writer;
   encode_catalog(writer, catalog);
-  return writer.fingerprint();
-}
-
-Fingerprint overlay_digest(const Fingerprint& catalog_fp,
-                           const std::vector<edge::BlockIndex>& deployed) {
-  if (deployed.empty()) return catalog_fp;
-  CanonicalWriter writer;
-  writer.u8(kTagOverlay);
-  writer.u64(catalog_fp.hi);
-  writer.u64(catalog_fp.lo);
-  writer.size(deployed.size());
-  for (const edge::BlockIndex b : deployed) writer.u32(b);
   return writer.fingerprint();
 }
 

@@ -120,11 +120,4 @@ Fingerprint fingerprint_instance(const DotInstance& instance);
 // once and pass it down.
 Fingerprint catalog_digest(const edge::DnnCatalog& catalog);
 
-// Digest of the catalog as a solve sees it through a deployed-block
-// overlay (DotInstance::deployed): `catalog_fp` itself when nothing is
-// deployed, else a 'P'-tagged composition of `catalog_fp` and the deployed
-// list — O(deployed), never a re-encode of the catalog.
-Fingerprint overlay_digest(const Fingerprint& catalog_fp,
-                           const std::vector<edge::BlockIndex>& deployed);
-
 }  // namespace odn::core

@@ -1,5 +1,5 @@
 // Bounded least-recently-used map with exact string keys — the storage
-// engine behind PlanCache and SolverCache (DESIGN.md §8).
+// engine behind PlanCache (DESIGN.md §8).
 //
 // Keys are full canonical encodings (core/fingerprint.h), so a lookup hit
 // proves key equality; no hashing shortcut can produce a false hit. The

@@ -79,22 +79,11 @@ OffloadnnSolver::OffloadnnSolver(OffloadnnOptions options)
 }
 
 DotSolution OffloadnnSolver::solve(const DotInstance& instance) const {
-  return solve(instance, nullptr);
-}
-
-DotSolution OffloadnnSolver::solve(const DotInstance& instance,
-                                   SolverCache* cache) const {
-  return solve(instance, cache, nullptr);
-}
-
-DotSolution OffloadnnSolver::solve(const DotInstance& instance,
-                                   SolverCache* cache,
-                                   const Fingerprint* catalog_fp) const {
   ODN_TRACE_SPAN("solver", "solver.offloadnn");
   util::Stopwatch watch;
   SolverMetrics& metrics = SolverMetrics::instance();
 
-  const SolutionTree tree(instance, cache, catalog_fp);
+  const SolutionTree tree(instance);
   metrics.solves.inc();
   metrics.cliques_built.inc(tree.num_layers());
   DotSolution solution = options_.beam_width == 1

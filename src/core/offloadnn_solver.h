@@ -22,8 +22,6 @@
 
 namespace odn::core {
 
-class SolverCache;
-
 // How each clique is ordered before first-fit selection — the design
 // choice the paper motivates (inference-compute-time ordering); the other
 // orderings exist for the ablation study.
@@ -44,20 +42,6 @@ class OffloadnnSolver {
   explicit OffloadnnSolver(OffloadnnOptions options = {});
 
   DotSolution solve(const DotInstance& instance) const;
-  // Warm-startable solve: `cache` memoizes per-task cliques across calls
-  // (DESIGN.md §8). The result is bit-identical to the cold overload for
-  // any cache state — keys are exact (catalog, task) encodings, so a hit
-  // proves equality. Pass the owning controller's cache from serial
-  // contexts only.
-  DotSolution solve(const DotInstance& instance, SolverCache* cache) const;
-  // As above, with the instance catalog's key digest precomputed by the
-  // caller — the one O(blocks) key component, so callers that already know
-  // it (the controller keeps the caller catalog's digest) skip the encode
-  // entirely. `catalog_fp` must identify the catalog as the solve sees it,
-  // overlay included: overlay_digest(catalog_digest(instance.catalog),
-  // instance.deployed).
-  DotSolution solve(const DotInstance& instance, SolverCache* cache,
-                    const Fingerprint* catalog_fp) const;
 
  private:
   DotSolution solve_first_branch(const DotInstance& instance,

@@ -157,21 +157,10 @@ OptimalSolver::OptimalSolver(OptimalSolverOptions options)
     : options_(options) {}
 
 DotSolution OptimalSolver::solve(const DotInstance& instance) const {
-  return solve(instance, nullptr);
-}
-
-DotSolution OptimalSolver::solve(const DotInstance& instance,
-                                 SolverCache* cache) const {
-  return solve(instance, cache, nullptr);
-}
-
-DotSolution OptimalSolver::solve(const DotInstance& instance,
-                                 SolverCache* cache,
-                                 const Fingerprint* catalog_fp) const {
   ODN_TRACE_SPAN("solver", "solver.optimal");
   util::Stopwatch watch;
 
-  const SolutionTree tree(instance, cache, catalog_fp);
+  const SolutionTree tree(instance);
 
   // Include the skip child in the size estimate.
   double branches = 1.0;

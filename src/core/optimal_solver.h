@@ -15,8 +15,6 @@
 
 namespace odn::core {
 
-class SolverCache;
-
 struct OptimalSolverOptions {
   // When true, additionally prunes branches whose partial cost lower bound
   // already exceeds the incumbent (branch-and-bound extension; the paper's
@@ -32,14 +30,6 @@ class OptimalSolver {
   explicit OptimalSolver(OptimalSolverOptions options = {});
 
   DotSolution solve(const DotInstance& instance) const;
-  // Warm-startable solve: `cache` memoizes per-task cliques. Results are
-  // bit-identical to the cold overload; see DESIGN.md §8.
-  DotSolution solve(const DotInstance& instance, SolverCache* cache) const;
-  // As above with the instance catalog's key digest precomputed by the
-  // caller (see OffloadnnSolver::solve): skips the O(blocks) catalog
-  // encode the clique keys otherwise pay.
-  DotSolution solve(const DotInstance& instance, SolverCache* cache,
-                    const Fingerprint* catalog_fp) const;
 
  private:
   OptimalSolverOptions options_;

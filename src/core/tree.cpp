@@ -2,78 +2,26 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "core/fingerprint.h"
-#include "core/solver_cache.h"
-
 namespace odn::core {
-namespace {
-
-// Clique-memo key: a task's clique depends only on the task itself and the
-// catalog (spec thresholds filter, catalog times/memory sort), so the key
-// is the exact task encoding prefixed with the catalog digest. 'Q' tags
-// the key space.
-std::string clique_key(const Fingerprint& catalog_digest,
-                       const DotTask& task) {
-  CanonicalWriter writer;
-  writer.u8(0x51);  // 'Q'
-  writer.u64(catalog_digest.hi);
-  writer.u64(catalog_digest.lo);
-  encode_task(writer, task);
-  return writer.take();
-}
-
-}  // namespace
 
 SolutionTree::SolutionTree(const DotInstance& instance)
-    : SolutionTree(instance, nullptr) {}
-
-SolutionTree::SolutionTree(const DotInstance& instance, SolverCache* cache)
-    : SolutionTree(instance, cache, nullptr) {}
-
-SolutionTree::SolutionTree(const DotInstance& instance, SolverCache* cache,
-                           const Fingerprint* digest)
     : instance_(instance) {
   if (!instance.finalized())
     throw std::logic_error("SolutionTree: instance not finalized");
 
-  Fingerprint catalog_digest;
-  if (cache != nullptr)
-    catalog_digest = digest != nullptr
-                         ? *digest
-                         : overlay_digest(core::catalog_digest(instance.catalog),
-                                          instance.deployed);
-
   layers_.reserve(instance.tasks.size());
   for (const std::size_t task_index : instance.priority_order()) {
     const DotTask& task = instance.tasks[task_index];
-
-    std::string key;
-    if (cache != nullptr) {
-      key = clique_key(catalog_digest, task);
-      if (const SolverCache::CliqueEntry* hit = cache->find_clique(key)) {
-        // Stored vertices carry whatever task_index the task had when the
-        // entry was built; patch in this instance's index.
-        std::vector<TreeVertex> clique = hit->vertices;
-        for (TreeVertex& vertex : clique) vertex.task_index = task_index;
-        filtered_ += hit->filtered;
-        total_vertices_ += clique.size();
-        layers_.push_back(std::move(clique));
-        continue;
-      }
-    }
-
     std::vector<TreeVertex> clique;
-    std::size_t filtered_here = 0;
     clique.reserve(task.options.size());
     for (std::size_t o = 0; o < task.options.size(); ++o) {
       const PathOption& option = task.options[o];
       // Feasibility filters (1f) and the compute-time part of (1g).
       if (option.accuracy + 1e-12 < task.spec.min_accuracy ||
           option.inference_time_s >= task.spec.max_latency_s) {
-        ++filtered_here;
+        ++filtered_;
         continue;
       }
       clique.push_back(TreeVertex{
@@ -97,10 +45,6 @@ SolutionTree::SolutionTree(const DotInstance& instance, SolverCache* cache,
                          return a.memory_bytes < b.memory_bytes;
                        return a.input_bits < b.input_bits;
                      });
-    if (cache != nullptr)
-      cache->insert_clique(std::move(key),
-                           SolverCache::CliqueEntry{clique, filtered_here});
-    filtered_ += filtered_here;
     total_vertices_ += clique.size();
     layers_.push_back(std::move(clique));
   }

@@ -19,11 +19,8 @@
 #include <vector>
 
 #include "core/dot_problem.h"
-#include "core/fingerprint.h"
 
 namespace odn::core {
-
-class SolverCache;
 
 struct TreeVertex {
   std::size_t task_index;     // original task index in the instance
@@ -38,18 +35,6 @@ struct TreeVertex {
 class SolutionTree {
  public:
   explicit SolutionTree(const DotInstance& instance);
-  // Cache-aware construction: per-task cliques are memoized in `cache`
-  // (keyed by the exact task encoding + catalog digest), so unchanged
-  // tasks reuse their filtered-and-sorted clique across epochs. nullptr
-  // falls back to the cold build; the built layers are bit-identical
-  // either way. The cache must not be shared across threads.
-  SolutionTree(const DotInstance& instance, SolverCache* cache);
-  // As above with the instance's catalog digest precomputed —
-  // overlay_digest(catalog_digest(instance.catalog), instance.deployed) —
-  // so a solver that already encoded the catalog for its own keys does not
-  // encode it a second time here. nullptr recomputes internally.
-  SolutionTree(const DotInstance& instance, SolverCache* cache,
-               const Fingerprint* digest);
 
   const DotInstance& instance() const noexcept { return instance_; }
 

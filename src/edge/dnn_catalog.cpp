@@ -1,10 +1,23 @@
 #include "edge/dnn_catalog.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/fmt.h"
 
 namespace odn::edge {
+namespace {
+
+// Written as what is allowed, so NaN (false under every comparison) and
+// ±inf fail too: no non-finite cost may reach the solver.
+void check_cost(const CatalogBlock& block, const char* field, double value) {
+  if (!(std::isfinite(value) && value >= 0.0))
+    throw std::invalid_argument(
+        util::fmt("DnnCatalog: block '{}' {} {} is not a finite cost >= 0",
+                  block.name, field, value));
+}
+
+}  // namespace
 
 const char* architecture_name(Architecture architecture) {
   switch (architecture) {
@@ -33,10 +46,9 @@ double DnnPath::unique_memory_bytes(
 }
 
 BlockIndex DnnCatalog::add_block(CatalogBlock block) {
-  if (block.inference_time_s < 0.0 || block.memory_bytes < 0.0 ||
-      block.training_cost_s < 0.0)
-    throw std::invalid_argument(
-        util::fmt("DnnCatalog: negative cost on block '{}'", block.name));
+  check_cost(block, "inference_time_s", block.inference_time_s);
+  check_cost(block, "memory_bytes", block.memory_bytes);
+  check_cost(block, "training_cost_s", block.training_cost_s);
   if (blocks_ == nullptr)
     blocks_ = std::make_shared<std::vector<CatalogBlock>>();
   else if (blocks_.use_count() > 1)
@@ -92,7 +104,7 @@ void DnnCatalog::validate_path(const DnnPath& path) const {
           path.name, architecture_name(block(b).architecture), block(b).name,
           architecture_name(architecture)));
   }
-  if (path.accuracy < 0.0 || path.accuracy > 1.0)
+  if (!(path.accuracy >= 0.0 && path.accuracy <= 1.0))  // NaN fails too
     throw std::invalid_argument(
         util::fmt("DnnCatalog: path '{}' accuracy {} outside [0,1]",
                   path.name, path.accuracy));

@@ -5,11 +5,11 @@
 // results BIT-IDENTICAL to a cold solve — caches change speed, never
 // bytes. The harness renders plans and solutions to hex strings in which
 // every double appears as its raw 64-bit pattern (no decimal formatting,
-// no tolerance), and drives a warm controller (all caches on, the
-// default) and a cold controller (all caches off) through the same seeded
+// no tolerance), and drives a warm controller (plan cache on, the
+// default) and a cold controller (plan cache off) through the same seeded
 // churn sequence, asserting byte equality at every step. solve_time_s is
 // the one deliberately excluded field — it is wall-clock, the only output
-// the caches are allowed to change.
+// the cache is allowed to change.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 
 #include "core/controller.h"
 #include "core/dot_problem.h"
+#include "core/plan_cache.h"
 #include "core/solution.h"
 #include "edge/resources.h"
 #include "fuzz_instances.h"
@@ -137,13 +138,13 @@ struct ChurnConfig {
 
 // One seeded churn sequence over a fuzzed world: admissions, departures
 // and dry-run probes in random order, every result compared byte-for-byte
-// between the warm (caches on) and cold (caches off) controllers, plus
-// constraint invariants on every warm plan. Repeated probes re-run on the
-// warm controller must also replay their own bytes (the plan-cache hit
-// path). `warm_memo`, when given, receives the warm controller's clique-memo
-// counters after the last step.
+// between the warm (plan cache on) and cold (plan cache off) controllers,
+// plus constraint invariants on every warm plan. Repeated probes re-run on
+// the warm controller must also replay their own bytes (the plan-cache hit
+// path). `warm_plans`, when given, receives the warm controller's
+// plan-cache counters after the last step.
 inline void run_churn_differential(
-    const ChurnConfig& config, core::SolverCacheStats* warm_memo = nullptr) {
+    const ChurnConfig& config, core::PlanCacheStats* warm_plans = nullptr) {
   const core::DotInstance world =
       core::testing::random_instance(config.seed);
   core::OffloadnnController::Options warm_options;
@@ -152,7 +153,6 @@ inline void run_churn_differential(
   warm_options.alpha = world.alpha;
   core::OffloadnnController::Options cold_options = warm_options;
   cold_options.cache.plan_cache = false;
-  cold_options.cache.solver_cache = false;
 
   core::OffloadnnController warm(world.resources, world.radio, warm_options);
   core::OffloadnnController cold(world.resources, world.radio, cold_options);
@@ -221,7 +221,7 @@ inline void run_churn_differential(
     ASSERT_EQ(serialize_state(warm), serialize_state(cold))
         << "committed state diverged";
   }
-  if (warm_memo != nullptr) *warm_memo = warm.solver_cache()->stats();
+  if (warm_plans != nullptr) *warm_plans = warm.plan_cache()->stats();
 }
 
 }  // namespace odn::testing

@@ -3,8 +3,8 @@
 //  - overlay: an instance whose `deployed` list marks blocks free solves
 //    to the same bytes as an explicitly rebuilt catalog in which those
 //    blocks carry µ = ct = 0 — for the heuristic (beam 1 and beam > 1),
-//    the exhaustive solver and SEM-O-RAN, cold and through one clique memo
-//    shared by both shapes — and DotEvaluator prices both identically;
+//    the exhaustive solver and SEM-O-RAN — and DotEvaluator prices both
+//    identically;
 //  - finalize() rejects a deployed index outside the catalog;
 //  - ledger: over seeded commit/release sequences, ledger() and
 //    deployed_blocks() bit-equal a re-sum in the test with the hash-set
@@ -25,8 +25,6 @@
 #include "core/optimal_solver.h"
 #include "core/scenarios.h"
 #include "core/solution.h"
-#include "core/solver_cache.h"
-#include "core/tree.h"
 #include "fuzz_instances.h"
 #include "invariant_check.h"
 #include "solver_equivalence.h"
@@ -127,40 +125,6 @@ TEST(DeployedOverlay, SemOranMatchesRebuiltCatalog) {
         return baseline::SemOranSolver{}.solve(instance);
       },
       "semoran");
-}
-
-// One clique memo serves the plain world, then the overlay: the overlay
-// must key its cliques apart (their vertex memory differs), so each warm
-// tree and solve still equals its cold one. The memory ordering makes the
-// solve itself depend on the vertex memory.
-TEST(DeployedOverlay, SharedCliqueMemoKeysTheOverlayApart) {
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    const DotInstance plain = testing::random_instance(seed);
-    const DotInstance overlay = overlay_instance(seed);
-    OffloadnnOptions by_memory;
-    by_memory.ordering = CliqueOrdering::kMemory;
-    SolverCache memo;
-    for (const DotInstance* instance : {&plain, &overlay, &plain, &overlay}) {
-      const SolutionTree warm(*instance, &memo);
-      const SolutionTree cold(*instance);
-      ASSERT_EQ(warm.num_layers(), cold.num_layers());
-      for (std::size_t layer = 0; layer < cold.num_layers(); ++layer) {
-        ASSERT_EQ(warm.layer(layer).size(), cold.layer(layer).size());
-        for (std::size_t v = 0; v < cold.layer(layer).size(); ++v)
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                        warm.layer(layer)[v].memory_bytes),
-                    std::bit_cast<std::uint64_t>(
-                        cold.layer(layer)[v].memory_bytes))
-              << "layer " << layer << ", vertex " << v;
-      }
-      ASSERT_EQ(
-          serialize_solution(OffloadnnSolver{by_memory}.solve(*instance, &memo)),
-          serialize_solution(OffloadnnSolver{by_memory}.solve(*instance)));
-      ASSERT_EQ(serialize_solution(OptimalSolver{}.solve(*instance, &memo)),
-                serialize_solution(OptimalSolver{}.solve(*instance)));
-    }
-  }
 }
 
 TEST(DeployedOverlay, PathMemorySkipsDeployedBlocksOnce) {

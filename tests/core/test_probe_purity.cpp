@@ -21,7 +21,6 @@ OffloadnnController make_controller(const DotInstance& world,
   OffloadnnController::Options options;
   options.alpha = world.alpha;
   options.cache.plan_cache = caches_on;
-  options.cache.solver_cache = caches_on;
   return OffloadnnController(world.resources, world.radio, options);
 }
 

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -85,6 +87,57 @@ TEST(DnnCatalog, NegativeCostsRejected) {
   EXPECT_THROW(
       catalog.add_block({"x", BlockKind::kSharedBase, 1.0, 1e6, -1.0}),
       std::invalid_argument);
+}
+
+// NaN fails every comparison, so a `< 0` check lets it (and +inf) through
+// to the solver. Every cost field must reject all three non-finite values,
+// with a message naming the block and the field.
+TEST(DnnCatalog, NonFiniteCostsRejected) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  struct Field {
+    const char* name;
+    double CatalogBlock::*member;
+  };
+  for (const Field field : {Field{"inference_time_s",
+                                  &CatalogBlock::inference_time_s},
+                            Field{"memory_bytes", &CatalogBlock::memory_bytes},
+                            Field{"training_cost_s",
+                                  &CatalogBlock::training_cost_s}}) {
+    for (const double bad : {kNan, kInf, -kInf}) {
+      SCOPED_TRACE(::testing::Message() << field.name << " = " << bad);
+      DnnCatalog catalog;
+      CatalogBlock block{"odd-block", BlockKind::kSharedBase, 1e-3, 1e6, 1.0};
+      block.*field.member = bad;
+      try {
+        catalog.add_block(block);
+        ADD_FAILURE() << "add_block accepted a non-finite cost";
+      } catch (const std::invalid_argument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("odd-block"), std::string::npos) << message;
+        EXPECT_NE(message.find(field.name), std::string::npos) << message;
+      }
+      EXPECT_EQ(catalog.block_count(), 0u);
+    }
+  }
+}
+
+TEST(DnnCatalog, NonFiniteAccuracyRejected) {
+  const DnnCatalog catalog = sample_catalog();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(::testing::Message() << "accuracy = " << bad);
+    const DnnPath path{"odd-path", {0, 1}, bad};
+    try {
+      catalog.validate_path(path);
+      ADD_FAILURE() << "validate_path accepted a non-finite accuracy";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("odd-path"), std::string::npos) << message;
+      EXPECT_NE(message.find("accuracy"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(DnnCatalog, PathInferenceTimeSumsAllBlocks) {
