@@ -7,8 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/fingerprint.h"
-#include "core/plan_cache.h"
 #include "fault/injector.h"
 #include "obs/alerts.h"
 #include "obs/flight.h"
@@ -94,21 +92,16 @@ std::uint64_t epoch_seed(std::uint64_t base, std::size_t stream) noexcept {
 class DispatcherSchedHost final : public sched::SchedHost {
  public:
   DispatcherSchedHost(ClusterDispatcher& dispatcher, std::size_t cell,
-                      const edge::DnnCatalog& catalog,
-                      const core::Fingerprint* digest)
-      : dispatcher_(dispatcher),
-        cell_(cell),
-        catalog_(catalog),
-        digest_(digest) {}
+                      const edge::DnnCatalog& catalog)
+      : dispatcher_(dispatcher), cell_(cell), catalog_(catalog) {}
 
   core::DeploymentPlan probe(
       std::vector<core::DotTask> requests) const override {
     return dispatcher_.cell(cell_).controller().probe_incremental(
-        catalog_, std::move(requests), digest_);
+        catalog_, std::move(requests));
   }
   core::DeploymentPlan commit(std::vector<core::DotTask> requests) override {
-    return dispatcher_.admit_on(cell_, catalog_, std::move(requests),
-                                digest_);
+    return dispatcher_.admit_on(cell_, catalog_, std::move(requests));
   }
   bool release(const std::string& name) override {
     return dispatcher_.release(name) != kNoCell;
@@ -118,7 +111,6 @@ class DispatcherSchedHost final : public sched::SchedHost {
   ClusterDispatcher& dispatcher_;
   std::size_t cell_;
   const edge::DnnCatalog& catalog_;
-  const core::Fingerprint* digest_;
 };
 
 // Where an attempt landed: the owning cell (kNoCell when nothing admitted
@@ -184,16 +176,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   dispatcher_.reset();
   const std::size_t cell_count = dispatcher_.cell_count();
   const std::size_t class_count = options_.class_names.size();
-
-  // The catalog is fixed for the whole run: one digest up front serves
-  // every admission's cache keys instead of one O(blocks) encode per
-  // admission. Skipped when no cache would read it.
-  core::Fingerprint catalog_fp;
-  const core::Fingerprint* catalog_fp_ptr = nullptr;
-  if (dispatcher_.plan_cache() != nullptr) {
-    catalog_fp = core::catalog_digest(catalog_);
-    catalog_fp_ptr = &catalog_fp;
-  }
 
   ClusterReport report;
   report.trace_name = trace.name;
@@ -427,8 +409,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
             jobs[j].trace_id, jobs[j].priority, jobs[j].admitted_task,
             jobs[j].sched_downgraded});
       if (candidates.empty()) continue;
-      DispatcherSchedHost host(dispatcher_, cell_index, catalog_,
-                               catalog_fp_ptr);
+      DispatcherSchedHost host(dispatcher_, cell_index, catalog_);
       const sched::LadderOutcome ladder = sched::run_ladder_fallback(
           host, task, candidates, options_.sched);
       report.sched.probes += ladder.probes;
@@ -466,7 +447,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       task = templates_[job.template_index];
       task.spec.name = job.name;
       // Correlation for flight-recorder timelines; like the name, it never
-      // enters the solve or the plan-cache keys.
+      // enters the solve.
       task.spec.correlation = job.trace_id;
       if (sched_on) task.spec.priority = job.priority;
     } else {
@@ -476,8 +457,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     if (downgraded)
       task = runtime::downgraded_task(std::move(task), options_.retry);
 
-    const AdmissionOutcome outcome =
-        dispatcher_.admit(catalog_, task, catalog_fp_ptr);
+    const AdmissionOutcome outcome = dispatcher_.admit(catalog_, task);
     Placement placed;
     if (outcome.admitted) {
       placed = Placement{outcome.cell, outcome.plan,
@@ -861,8 +841,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           for (const std::size_t target : targets) {
             core::TaskPlan migrated_plan;
             if (dispatcher_.migrate(catalog_, job.admitted_task, job.name,
-                                    target, &migrated_plan,
-                                    catalog_fp_ptr)) {
+                                    target, &migrated_plan)) {
               flight(now, obs::FlightEventKind::kMigration, job.trace_id,
                      target, static_cast<std::uint64_t>(source));
               job.cell = target;
@@ -1012,14 +991,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
                  report.total_admitted(), report.total_arrivals(),
                  report.migration.migrated, report.total_slo_violations(),
                  report.active_at_end);
-  // Warm-start accounting (DESIGN.md §8). Purely informational: hits are
-  // bit-identical to cold solves, so these numbers never change a report.
-  if (const std::shared_ptr<core::PlanCache>& plans =
-          dispatcher_.plan_cache()) {
-    const core::PlanCacheStats s = plans->stats();
-    util::log_info("cluster", "plan cache: {} hits, {} misses, {} evictions",
-                   s.hits, s.misses, s.evictions);
-  }
   return report;
 }
 

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
-#include "core/fingerprint.h"
-#include "core/plan_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fmt.h"
@@ -17,7 +14,9 @@
 namespace odn::cluster {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+bool admits_one(const core::DeploymentPlan& plan) {
+  return plan.tasks.size() == 1 && plan.tasks[0].admitted;
+}
 
 // Placement accounting. The probe counters increment once per (task, cell)
 // probe and each probe's verdict is independent of which thread runs it,
@@ -28,12 +27,6 @@ struct DispatcherMetrics {
   obs::Counter& releases;
   obs::Counter& probe_admits;
   obs::Counter& probe_rejects;
-  // Shared-plan-cache accounting: cells answered straight from the
-  // cross-cell cache, and probes avoided because a sibling cell's probe
-  // this round had the exact same cache key. Dedup/lookup run on the
-  // serial phase of probe_objectives, so both are ODN_THREADS-invariant.
-  obs::Counter& probe_cache_hits;
-  obs::Counter& probe_dedup_saved;
 
   static DispatcherMetrics& instance() {
     static obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -42,9 +35,7 @@ struct DispatcherMetrics {
         registry.counter("odn_cluster_spillovers_total"),
         registry.counter("odn_cluster_releases_total"),
         registry.counter("odn_cluster_probe_admits_total"),
-        registry.counter("odn_cluster_probe_rejects_total"),
-        registry.counter("odn_cluster_probe_cache_hits_total"),
-        registry.counter("odn_cluster_probe_dedup_saved_total")};
+        registry.counter("odn_cluster_probe_rejects_total")};
     return metrics;
   }
 };
@@ -62,149 +53,44 @@ ClusterDispatcher::ClusterDispatcher(
   for (CellSpec& spec : cells)
     cells_.emplace_back(std::move(spec), radio, controller_options);
   accepting_.assign(cells_.size(), true);
-  // One plan cache shared by every cell (or nullptr everywhere when
-  // disabled, so the cluster has a uniform cold baseline). Admissions and
-  // migrations run on the serial event loop; the cost_probe fan-out keeps
-  // its own shared-cache accesses serial (see probe_objectives).
-  if (options_.plan_cache)
-    plan_cache_ =
-        std::make_shared<core::PlanCache>(options_.plan_cache_capacity);
-  for (EdgeCell& cell : cells_) cell.controller().set_plan_cache(plan_cache_);
 }
 
-std::vector<double> ClusterDispatcher::probe_objectives(
-    const edge::DnnCatalog& catalog, const core::DotTask& task,
-    const core::Fingerprint* digest) const {
+std::vector<core::DeploymentPlan> ClusterDispatcher::probe_cells(
+    const edge::DnnCatalog& catalog, const core::DotTask& task) const {
   ODN_TRACE_SPAN("cluster", "cluster.probe");
   DispatcherMetrics& metrics = DispatcherMetrics::instance();
-  std::vector<double> objectives(cells_.size(), kInf);
-
-  if (plan_cache_ == nullptr) {
-    auto probe_one = [&](std::size_t i) {
-      // Non-accepting cells (crashed / budget-exhausted) keep their +inf
-      // slot without probing; the mask only changes on the serial event
-      // loop, so the skip is identical for any thread count.
-      if (!accepting_[i]) return;
-      const core::DeploymentPlan probe =
-          cells_[i].controller().probe_incremental(catalog, {task}, digest);
-      if (probe.tasks.size() == 1 && probe.tasks[0].admitted) {
-        objectives[i] = probe.solution.cost.objective;
-        metrics.probe_admits.inc();
-      } else {
-        metrics.probe_rejects.inc();
-      }
-    };
-    // Each probe writes only its own slot, and a probe's arithmetic is
-    // independent of which thread runs it, so the parallel fan-out is
-    // bit-identical to the serial loop.
-    if (options_.parallel_probe && cells_.size() > 1) {
-      util::global_parallel_for(cells_.size(), probe_one);
-    } else {
-      for (std::size_t i = 0; i < cells_.size(); ++i) probe_one(i);
-    }
-    return objectives;
-  }
-
-  // Shared-cache path, three phases. Equal probe_cache_key strings are a
-  // proof the probes would return identical bytes (the key is the
-  // canonical encoding of the discounted sub-instance, catalog
-  // digest-compressed), so each distinct key is probed once and its
-  // verdict settled onto every cell in the
-  // group. The shared cache is only touched from the serial phases; only
-  // distinct cache-missing sub-instances fan out to the pool, each solved
-  // cold through a different cell's probe_incremental_uncached. Verdicts,
-  // per-cell admit/reject counters and cache hit/miss counts are therefore
-  // all ODN_THREADS-invariant.
-  const std::vector<core::DotTask> requests{task};
-  struct Group {
-    std::string key;
-    std::vector<std::size_t> cells;
-    core::DeploymentPlan solved;  // filled in phase 2 on a cache miss
+  std::vector<core::DeploymentPlan> probes(cells_.size());
+  auto probe_one = [&](std::size_t i) {
+    // Non-accepting cells (crashed / budget-exhausted) keep an empty slot
+    // without probing; the mask only changes on the serial event loop, so
+    // the skip is identical for any thread count.
+    if (!accepting_[i]) return;
+    probes[i] = cells_[i].controller().probe_incremental(catalog, {task});
+    if (admits_one(probes[i]))
+      metrics.probe_admits.inc();
+    else
+      metrics.probe_rejects.inc();
   };
-  std::vector<Group> groups;
-  // No reallocation: the key-indexing views below point into groups' keys.
-  groups.reserve(cells_.size());
-  std::unordered_map<std::string_view, std::size_t> by_key;
-
-  // Phase 1 (serial): key every accepting cell and group equal keys. The
-  // catalog digest — the one O(blocks) key component — is computed at most
-  // once per admission (admit() passes it in) and shared by all N cells'
-  // keys and by the miss solves below. The request set is encoded once
-  // too: each cell's key is its own state prefix followed by these bytes.
-  const core::Fingerprint digest_local =
-      digest != nullptr ? *digest : core::catalog_digest(catalog);
-  core::CanonicalWriter request_writer;
-  core::encode_task_set(request_writer, requests);
-  const std::string encoded_requests = request_writer.take();
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (!accepting_[i]) continue;
-    std::string key = cells_[i].controller().probe_cache_key(
-        catalog, encoded_requests, digest_local);
-    const auto it = by_key.find(key);
-    if (it != by_key.end()) {
-      groups[it->second].cells.push_back(i);
-      continue;
-    }
-    groups.push_back(Group{std::move(key), {i}, {}});
-    by_key.emplace(std::string_view(groups.back().key), groups.size() - 1);
-  }
-  for (const Group& group : groups)
-    if (group.cells.size() > 1)
-      metrics.probe_dedup_saved.inc(group.cells.size() - 1);
-
-  const auto settle = [&](const Group& group,
-                          const core::DeploymentPlan& plan) {
-    const bool admitted = plan.tasks.size() == 1 && plan.tasks[0].admitted;
-    for (const std::size_t i : group.cells) {
-      if (admitted) {
-        objectives[i] = plan.solution.cost.objective;
-        metrics.probe_admits.inc();
-      } else {
-        metrics.probe_rejects.inc();
-      }
-    }
-  };
-
-  // Phase 1b (serial): answer groups straight from the shared cache.
-  // Hit groups settle immediately — the cached pointer must not be held
-  // across the phase-3 inserts, which may evict it.
-  std::vector<std::size_t> missing;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (const core::DeploymentPlan* hit = plan_cache_->find(groups[g].key)) {
-      metrics.probe_cache_hits.inc(groups[g].cells.size());
-      settle(groups[g], *hit);
-    } else {
-      missing.push_back(g);
-    }
-  }
-
-  // Phase 2: solve each missing group once, through its first cell. Cells
-  // appear in exactly one group, so no controller is ever touched by two
-  // threads.
-  const auto solve_one = [&](std::size_t m) {
-    Group& group = groups[missing[m]];
-    group.solved =
-        cells_[group.cells.front()]
-            .controller()
-            .probe_incremental_uncached(catalog, requests);
-  };
-  if (options_.parallel_probe && missing.size() > 1) {
-    util::global_parallel_for(missing.size(), solve_one);
+  // Each probe writes only its own slot, and a probe's arithmetic is
+  // independent of which thread runs it, so the parallel fan-out is
+  // bit-identical to the serial loop.
+  if (options_.parallel_probe && cells_.size() > 1) {
+    util::global_parallel_for(cells_.size(), probe_one);
   } else {
-    for (std::size_t m = 0; m < missing.size(); ++m) solve_one(m);
+    for (std::size_t i = 0; i < cells_.size(); ++i) probe_one(i);
   }
+  return probes;
+}
 
-  // Phase 3 (serial): publish the solved plans and settle their groups.
-  for (const std::size_t g : missing) {
-    plan_cache_->insert(std::move(groups[g].key), groups[g].solved);
-    settle(groups[g], groups[g].solved);
-  }
-  return objectives;
+std::size_t ClusterDispatcher::choose_cell(const edge::DnnCatalog& catalog,
+                                           const core::DotTask& task) const {
+  std::vector<core::DeploymentPlan> probes;
+  return choose_cell(catalog, task, probes);
 }
 
 std::size_t ClusterDispatcher::choose_cell(
     const edge::DnnCatalog& catalog, const core::DotTask& task,
-    const core::Fingerprint* digest) const {
+    std::vector<core::DeploymentPlan>& probes) const {
   // Every policy ranges over the accepting cells only; with every cell
   // fenced off (cluster-wide outage) there is no preferred cell at all.
   std::size_t first_accepting = kNoCell;
@@ -235,18 +121,22 @@ std::size_t ClusterDispatcher::choose_cell(
       return best;
     }
     case PlacementPolicy::kCostProbe: {
-      const std::vector<double> objectives =
-          probe_objectives(catalog, task, digest);
+      probes = probe_cells(catalog, task);
+      const auto objective = [&](std::size_t i) {
+        return admits_one(probes[i])
+                   ? probes[i].solution.cost.objective
+                   : std::numeric_limits<double>::infinity();
+      };
       std::size_t best = first_accepting;
-      double best_objective = objectives[best];
+      double best_objective = objective(best);
       for (std::size_t i = best + 1; i < cells_.size(); ++i) {
         // Strict < : ties stay with the lowest index. All-rejecting
         // probes leave best = first_accepting; the admission attempt then
         // fails there and spillover confirms the rejection on the
-        // siblings. Non-accepting cells hold +inf, so they never win.
-        if (objectives[i] < best_objective) {
+        // siblings. Non-accepting cells read +inf, so they never win.
+        if (objective(i) < best_objective) {
           best = i;
-          best_objective = objectives[i];
+          best_objective = objective(i);
         }
       }
       return best;
@@ -257,25 +147,15 @@ std::size_t ClusterDispatcher::choose_cell(
 
 AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
                                           const core::DotTask& task,
-                                          const core::Fingerprint* digest) {
+                                          const core::Fingerprint*) {
   ODN_TRACE_SPAN("cluster", "cluster.admit");
   if (owner_.count(task.spec.name) != 0)
     throw std::invalid_argument(util::fmt(
         "ClusterDispatcher: task '{}' already admitted", task.spec.name));
 
-  // One catalog digest per admission, shared by the probe fan-out and
-  // every admission attempt's cache keys — taken from the caller when
-  // provided, computed here otherwise (skipped when no cache would read
-  // it: the cold path must not pay for the warm path's keys).
-  core::Fingerprint digest_local;
-  const core::Fingerprint* digest_ptr = digest;
-  if (digest_ptr == nullptr && plan_cache_ != nullptr) {
-    digest_local = core::catalog_digest(catalog);
-    digest_ptr = &digest_local;
-  }
-
   AdmissionOutcome outcome;
-  outcome.preferred_cell = choose_cell(catalog, task, digest_ptr);
+  std::vector<core::DeploymentPlan> probes;  // cost_probe: one per cell
+  outcome.preferred_cell = choose_cell(catalog, task, probes);
   // Cluster-wide outage: every cell fenced off, nothing to try.
   if (outcome.preferred_cell == kNoCell) return outcome;
 
@@ -290,15 +170,23 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
   DispatcherMetrics& metrics = DispatcherMetrics::instance();
   for (const std::size_t index : order) {
     metrics.placement_attempts.inc();
-    const core::DeploymentPlan plan =
-        cells_[index].controller().admit_incremental(catalog, {task},
-                                                     digest_ptr);
-    if (plan.tasks.size() == 1 && plan.tasks[0].admitted) {
+    core::OffloadnnController& controller = cells_[index].controller();
+    // A cost_probe admission commits the cell's probe: a failed attempt
+    // changes only its own cell, so every sibling's probe is still
+    // current when spillover reaches it.
+    core::DeploymentPlan plan;
+    if (probes.empty()) {
+      plan = controller.admit_incremental(catalog, {task});
+    } else {
+      plan = std::move(probes[index]);
+      controller.commit(plan, catalog);
+    }
+    if (admits_one(plan)) {
       outcome.admitted = true;
       outcome.cell = index;
       outcome.spilled = index != outcome.preferred_cell;
       if (outcome.spilled) metrics.spillovers.inc();
-      outcome.plan = plan.tasks[0];
+      outcome.plan = std::move(plan.tasks[0]);
       owner_.emplace(task.spec.name, index);
       return outcome;
     }
@@ -308,7 +196,7 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
 
 core::DeploymentPlan ClusterDispatcher::admit_on(
     std::size_t index, const edge::DnnCatalog& catalog,
-    std::vector<core::DotTask> requests, const core::Fingerprint* digest) {
+    std::vector<core::DotTask> requests) {
   if (!accepting_.at(index))
     throw std::invalid_argument(util::fmt(
         "ClusterDispatcher: admit_on targets non-accepting cell {}", index));
@@ -318,7 +206,7 @@ core::DeploymentPlan ClusterDispatcher::admit_on(
           "ClusterDispatcher: task '{}' already admitted",
           request.spec.name));
   const core::DeploymentPlan plan = cells_[index].controller().admit_incremental(
-      catalog, std::move(requests), digest);
+      catalog, std::move(requests));
   for (const core::TaskPlan& task : plan.tasks)
     if (task.admitted) owner_.emplace(task.task_name, index);
   return plan;
@@ -347,8 +235,7 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
                                 const core::DotTask& task,
                                 const std::string& task_name,
                                 std::size_t target,
-                                core::TaskPlan* migrated_plan,
-                                const core::Fingerprint* digest) {
+                                core::TaskPlan* migrated_plan) {
   ODN_TRACE_SPAN("cluster", "cluster.migrate");
   if (task.spec.name != task_name)
     throw std::invalid_argument(
@@ -358,36 +245,22 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
       !accepting_[target])
     return false;
 
-  // Probe first: the event loop is serial, so the target cell's state
-  // cannot change between the probe and the admission below — a positive
-  // probe guarantees the re-admission lands and the task is never left
-  // without a cell.
-  core::Fingerprint digest_local;
-  const core::Fingerprint* digest_ptr = digest;
-  if (digest_ptr == nullptr && plan_cache_ != nullptr) {
-    digest_local = core::catalog_digest(catalog);
-    digest_ptr = &digest_local;
-  }
-  const core::DeploymentPlan probe =
-      cells_[target].controller().probe_incremental(catalog, {task},
-                                                    digest_ptr);
-  if (probe.tasks.size() != 1 || !probe.tasks[0].admitted) return false;
+  // Probe first: the event loop is serial and the release below touches
+  // only the source cell, so the target's probe is still current when it
+  // is committed — a positive probe guarantees the task lands and is
+  // never left without a cell.
+  core::OffloadnnController& destination = cells_[target].controller();
+  core::DeploymentPlan plan = destination.probe_incremental(catalog, {task});
+  if (!admits_one(plan)) return false;
 
   if (!cells_[source].controller().release(task_name))
     throw std::logic_error(util::fmt(
         "ClusterDispatcher: migration source cell {} lost task '{}'",
         source, task_name));
-  const core::DeploymentPlan plan =
-      cells_[target].controller().admit_incremental(catalog, {task},
-                                                    digest_ptr);
-  if (plan.tasks.size() != 1 || !plan.tasks[0].admitted)
-    throw std::logic_error(util::fmt(
-        "ClusterDispatcher: probe admitted '{}' on cell {} but the "
-        "commit rejected it",
-        task_name, target));
+  destination.commit(plan, catalog);
 
   owner_[task_name] = target;
-  if (migrated_plan != nullptr) *migrated_plan = plan.tasks[0];
+  if (migrated_plan != nullptr) *migrated_plan = std::move(plan.tasks[0]);
   util::log_info("cluster", "migrated '{}' cell {} -> {}", task_name, source,
                  target);
   return true;

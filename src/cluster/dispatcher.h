@@ -5,12 +5,14 @@
 // Determinism contract: admission outcomes depend only on (cells, policy,
 // request) — the cost_probe fan-out writes each cell's probe into its own
 // slot and reduces serially in cell order with strict `<` tie-breaking, so
-// ODN_THREADS never changes which cell wins.
+// ODN_THREADS never changes which cell wins. Under cost_probe an
+// admission commits the plan its probe solved on the chosen cell (and on
+// each spillover cell), which is the plan admit_incremental would solve
+// again on the unchanged cell state.
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "cluster/cell.h"
 #include "cluster/placement.h"
 #include "core/controller.h"
+#include "core/fingerprint.h"
 #include "edge/dnn_catalog.h"
 #include "edge/radio.h"
 
@@ -34,13 +37,6 @@ struct DispatcherOptions {
   // pool. Bit-identical to the serial path (the golden-report ctest pins
   // it); false forces the serial loop, mostly for differential testing.
   bool parallel_probe = true;
-  // Shared cross-cell plan cache (DESIGN.md §8): one core::PlanCache
-  // replaces every cell's private one, so identical probe sub-instances
-  // collapse across sibling cells (probes are pure — an exact-key hit is
-  // bit-identical to solving). false disables plan caching on every cell,
-  // giving a uniform cold baseline for differential runs.
-  bool plan_cache = true;
-  std::size_t plan_cache_capacity = 1024;
 };
 
 struct AdmissionOutcome {
@@ -62,31 +58,22 @@ class ClusterDispatcher {
   const EdgeCell& cell(std::size_t index) const { return cells_.at(index); }
   const DispatcherOptions& options() const noexcept { return options_; }
 
-  // The shared cross-cell plan cache (nullptr when options disabled it).
-  // Survives reset()/crash_cell: entries are keyed by the cells' full
-  // committed state, so stale keys can never falsely hit.
-  const std::shared_ptr<core::PlanCache>& plan_cache() const noexcept {
-    return plan_cache_;
-  }
+  // Always nullptr: the plan cache is gone, and the accessor exists only
+  // for the benchmark driver (see core/plan_cache.h).
+  const core::PlanCache* plan_cache() const noexcept { return nullptr; }
 
   // The placement policy's preferred cell for `task` given current load
-  // (no state change; exposed for tests and for migration targeting). The
-  // optional `digest` (must equal core::catalog_digest(catalog)) lets the
-  // cost_probe fan-out skip re-encoding the catalog; admit() computes it
-  // once per admission and threads it through.
+  // (no state change; exposed for tests and for migration targeting).
   std::size_t choose_cell(const edge::DnnCatalog& catalog,
-                          const core::DotTask& task,
-                          const core::Fingerprint* digest = nullptr) const;
+                          const core::DotTask& task) const;
 
   // Full admission: preferred cell first, then spillover. Records
-  // ownership on success. Task names must be cluster-unique. The optional
-  // `digest` (must equal core::catalog_digest(catalog)) spares the
-  // per-admission O(blocks) catalog encode the cache keys otherwise pay —
-  // callers that admit many tasks against one fixed catalog compute it
-  // once up front.
+  // ownership on success. Task names must be cluster-unique. The trailing
+  // pointer is ignored; it remains only for the benchmark driver, which
+  // still passes a catalog digest (see core/fingerprint.h).
   AdmissionOutcome admit(const edge::DnnCatalog& catalog,
                          const core::DotTask& task,
-                         const core::Fingerprint* digest = nullptr);
+                         const core::Fingerprint* = nullptr);
 
   // Scheduling primitive (src/sched/): commits a joint request set on one
   // specific cell — no placement policy, no spillover — and records
@@ -96,8 +83,7 @@ class ClusterDispatcher {
   // currently owned; the cell must be accepting.
   core::DeploymentPlan admit_on(std::size_t index,
                                 const edge::DnnCatalog& catalog,
-                                std::vector<core::DotTask> requests,
-                                const core::Fingerprint* digest = nullptr);
+                                std::vector<core::DotTask> requests);
 
   // Releases the named task from its owning cell; returns the cell index
   // or kNoCell when the task is unknown.
@@ -107,14 +93,13 @@ class ClusterDispatcher {
   std::size_t owner_of(const std::string& task_name) const;
 
   // Migration primitive: probe `target`, and only when the probe admits,
-  // release the task at its current cell and re-admit it on `target`
-  // (probe == admit on the unchanged cell state, so the move can never
-  // strand the task). Returns true and updates ownership on success;
-  // false leaves everything untouched. `digest` as in admit().
+  // release the task at its current cell and commit the probed plan on
+  // `target` (the release touches only the source cell, so the probe is
+  // still current and the move can never strand the task). Returns true
+  // and updates ownership on success; false leaves everything untouched.
   bool migrate(const edge::DnnCatalog& catalog, const core::DotTask& task,
                const std::string& task_name, std::size_t target,
-               core::TaskPlan* migrated_plan = nullptr,
-               const core::Fingerprint* digest = nullptr);
+               core::TaskPlan* migrated_plan = nullptr);
 
   std::size_t total_active() const;
 
@@ -136,20 +121,20 @@ class ClusterDispatcher {
   void reset();
 
  private:
-  // Serial-vs-parallel-identical probe of every cell; slot i holds cell
-  // i's admitted objective (+inf when the probe rejects). With the shared
-  // plan cache on, probes are first deduplicated by exact cache key — the
-  // cache itself is only ever touched serially; only cache-missing
-  // distinct sub-instances fan out to the pool.
-  std::vector<double> probe_objectives(const edge::DnnCatalog& catalog,
-                                       const core::DotTask& task,
-                                       const core::Fingerprint* digest) const;
+  // Serial-vs-parallel-identical probe of every cell: slot i holds cell
+  // i's probe of {task}, or an empty plan for a non-accepting cell.
+  std::vector<core::DeploymentPlan> probe_cells(
+      const edge::DnnCatalog& catalog, const core::DotTask& task) const;
+  // choose_cell; under cost_probe it leaves the per-cell probes in
+  // `probes` for the admission to commit.
+  std::size_t choose_cell(const edge::DnnCatalog& catalog,
+                          const core::DotTask& task,
+                          std::vector<core::DeploymentPlan>& probes) const;
 
   std::vector<EdgeCell> cells_;
   DispatcherOptions options_;
   std::vector<bool> accepting_;  // admission gate per cell (fault state)
   std::unordered_map<std::string, std::size_t> owner_;
-  std::shared_ptr<core::PlanCache> plan_cache_;
 };
 
 }  // namespace odn::cluster

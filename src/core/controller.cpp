@@ -6,8 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/fingerprint.h"
-#include "core/plan_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -52,14 +50,7 @@ OffloadnnController::OffloadnnController(const edge::EdgeResources& resources,
     : resources_(resources),
       radio_(radio),
       options_(options),
-      ledger_(resources) {
-  if (options_.cache.plan_cache)
-    plan_cache_ = std::make_shared<PlanCache>(options_.cache.plan_capacity);
-}
-
-void OffloadnnController::set_plan_cache(std::shared_ptr<PlanCache> cache) {
-  plan_cache_ = std::move(cache);
-}
+      ledger_(resources) {}
 
 OffloadnnController::OffloadnnController(const edge::EdgeResources& resources,
                                          edge::RadioModel radio)
@@ -72,13 +63,17 @@ void OffloadnnController::reset() {
   rebuild_ledger();
 }
 
-void OffloadnnController::rebuild_ledger() {
-  ledger_.reset();
-  deployed_blocks_.clear();
+void OffloadnnController::next_stamp() {
   if (++stamp_ == 0) {  // wrapped: old marks could match again
     std::fill(block_stamp_.begin(), block_stamp_.end(), 0);
     stamp_ = 1;
   }
+}
+
+void OffloadnnController::rebuild_ledger() {
+  ledger_.reset();
+  deployed_blocks_.clear();
+  next_stamp();
 
   // Active tasks in order, each block counted at its first appearance:
   // the ledger enters the plan keys and the discounted capacities, so the
@@ -132,116 +127,32 @@ std::vector<std::string> OffloadnnController::active_tasks() const {
 DeploymentPlan OffloadnnController::admit(const edge::DnnCatalog& catalog,
                                           std::vector<DotTask> requests) {
   reset();
-  DeploymentPlan result = plan(catalog, std::move(requests),
-                               /*incremental=*/false, /*use_plan_cache=*/true);
+  DeploymentPlan result =
+      plan(catalog, std::move(requests), /*incremental=*/false);
   commit(result, catalog);
   return result;
 }
 
 DeploymentPlan OffloadnnController::admit_incremental(
-    const edge::DnnCatalog& catalog, std::vector<DotTask> requests,
-    const Fingerprint* digest) {
+    const edge::DnnCatalog& catalog, std::vector<DotTask> requests) {
   DeploymentPlan result =
-      plan(catalog, std::move(requests),
-           /*incremental=*/true, /*use_plan_cache=*/true, digest);
+      plan(catalog, std::move(requests), /*incremental=*/true);
   commit(result, catalog);
   return result;
 }
 
 DeploymentPlan OffloadnnController::probe_incremental(
-    const edge::DnnCatalog& catalog, std::vector<DotTask> requests,
-    const Fingerprint* digest) const {
-  ODN_TRACE_SPAN("controller", "controller.probe_incremental");
-  ControllerMetrics::instance().probes.inc();
-  return plan(catalog, std::move(requests), /*incremental=*/true,
-              /*use_plan_cache=*/true, digest);
-}
-
-DeploymentPlan OffloadnnController::probe_incremental_uncached(
     const edge::DnnCatalog& catalog, std::vector<DotTask> requests) const {
   ODN_TRACE_SPAN("controller", "controller.probe_incremental");
   ControllerMetrics::instance().probes.inc();
-  return plan(catalog, std::move(requests), /*incremental=*/true,
-              /*use_plan_cache=*/false);
-}
-
-std::string OffloadnnController::probe_cache_key(
-    const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
-    const Fingerprint* digest) const {
-  return plan_key(catalog, requests, /*incremental=*/true, digest);
-}
-
-std::string OffloadnnController::probe_cache_key(
-    const edge::DnnCatalog& catalog, std::string_view encoded_requests,
-    const Fingerprint& digest) const {
-  CanonicalWriter writer;
-  write_key_prefix(writer, catalog, digest, /*incremental=*/true);
-  writer.raw(encoded_requests);
-  return writer.take();
-}
-
-std::string OffloadnnController::plan_key(
-    const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
-    bool incremental, const Fingerprint* digest) const {
-  CanonicalWriter writer;
-  write_key_prefix(writer, catalog,
-                   digest != nullptr ? *digest : catalog_digest(catalog),
-                   incremental);
-  encode_task_set(writer, requests);
-  return writer.take();
-}
-
-void OffloadnnController::write_key_prefix(CanonicalWriter& writer,
-                                           const edge::DnnCatalog& catalog,
-                                           const Fingerprint& catalog_fp,
-                                           bool incremental) const {
-  writer.u8(2);  // key-format version (2: catalog digest-compressed)
-  writer.boolean(incremental);
-  writer.boolean(options_.use_optimal_solver);
-  writer.u8(static_cast<std::uint8_t>(options_.heuristic.ordering));
-  writer.size(options_.heuristic.beam_width);
-  writer.f64(options_.alpha);
-  encode_resources(writer, resources_);
-  writer.f64(ledger_.compute_used_s());
-  writer.f64(ledger_.memory_used_bytes());
-  writer.size(ledger_.rbs_used());
-  encode_radio(writer, radio_);
-  writer.size(deployed_blocks_.size());
-  for (const edge::BlockIndex b : deployed_blocks_) writer.u32(b);
-  writer.u64(catalog_fp.hi);
-  writer.u64(catalog_fp.lo);
-  writer.size(catalog.block_count());
+  return plan(catalog, std::move(requests), /*incremental=*/true);
 }
 
 DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
                                          std::vector<DotTask> requests,
-                                         bool incremental, bool use_plan_cache,
-                                         const Fingerprint* digest) const {
+                                         bool incremental) const {
   ODN_TRACE_SPAN("controller", "controller.plan");
   ControllerMetrics::instance().plans.inc();
-
-  // Warm path: an exact-key hit is a proof that state and request set are
-  // identical to a previously solved plan, so the cached bytes ARE the
-  // cold result. Keys are name-blind (names never enter the solve), so
-  // the caller-facing task names are rewritten positionally; the latency
-  // histogram is replayed to keep its totals equal to the cold path's.
-  std::string cache_key;
-  PlanCache* cache = use_plan_cache ? plan_cache_.get() : nullptr;
-  if (cache != nullptr) {
-    cache_key = plan_key(catalog, requests, incremental, digest);
-    if (const DeploymentPlan* hit = cache->find(cache_key)) {
-      ODN_TRACE_SPAN("solver", "solver.warm");
-      DeploymentPlan result = *hit;
-      for (std::size_t t = 0; t < requests.size(); ++t) {
-        result.tasks[t].task_name = requests[t].spec.name;
-        result.tasks[t].correlation = requests[t].spec.correlation;
-        if (result.tasks[t].admitted)
-          ControllerMetrics::instance().expected_latency.observe(
-              result.tasks[t].expected_latency_s);
-      }
-      return result;
-    }
-  }
 
   // Step 2: assemble the DOT inputs — block availability and the (possibly
   // discounted) resource capacities. The instance borrows the caller's
@@ -285,6 +196,8 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   // mutates the controller: commit() applies the result.
   DeploymentPlan result;
   result.solution = solution;
+  result.planned_by = this;
+  result.planned_at = stamp_;
   std::unordered_set<edge::BlockIndex> new_blocks;
   double shared_rbs = 0.0;
 
@@ -342,12 +255,15 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   result.compute_committed_s = solution.cost.inference_compute_s;
   result.rbs_committed =
       static_cast<std::size_t>(std::ceil(shared_rbs - 1e-9));
-  if (cache != nullptr) cache->insert(std::move(cache_key), result);
   return result;
 }
 
 void OffloadnnController::commit(const DeploymentPlan& plan,
                                  const edge::DnnCatalog& catalog) {
+  if (plan.planned_by != this || plan.planned_at != stamp_)
+    throw std::logic_error(
+        "OffloadnnController: commit of a plan not solved against this "
+        "controller's current state");
   ODN_TRACE_SPAN("controller", "controller.commit");
   ControllerMetrics& metrics = ControllerMetrics::instance();
   metrics.commits.inc();

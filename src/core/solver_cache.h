@@ -1,9 +1,9 @@
-// Remnant of the clique memo, which was removed (DESIGN.md §8): the plan
-// cache (core/plan_cache.h) is the one cache in front of the solvers. It
-// exists only because the benchmark driver (perfbench/bench.cpp) still
-// compiles against these names; nothing creates a SolverCache,
-// OffloadnnController::solver_cache() always returns nullptr, and stats()
-// reads zeros. It goes with the next change to the benchmark.
+// Remnant of the clique memo, which was removed (DESIGN.md §8): no cache
+// stands in front of the solvers. It exists only because the benchmark
+// driver (perfbench/bench.cpp) still compiles against these names; nothing
+// creates a SolverCache, OffloadnnController::solver_cache() always returns
+// nullptr, and stats() reads zeros. It goes with the next change to the
+// benchmark.
 #pragma once
 
 #include <cstdint>

@@ -10,10 +10,6 @@ cluster::ClusterOptions one_cell_options(RuntimeOptions options) {
   cluster::ClusterOptions engine;
   static_cast<RuntimeOptions&>(engine) = std::move(options);
   engine.dispatch.policy = cluster::PlacementPolicy::kFirstFit;
-  // The dispatcher's shared cache replaces the controller's private one;
-  // size it exactly as the controller would have.
-  engine.dispatch.plan_cache = engine.controller.cache.plan_cache;
-  engine.dispatch.plan_cache_capacity = engine.controller.cache.plan_capacity;
   return engine;
 }
 

@@ -3,9 +3,7 @@
 //
 // A single server is a one-cell deployment of the serving engine
 // (cluster/cluster_runtime.h): this adapter builds a one-cell first_fit
-// ClusterRuntime whose shared plan cache is sized from
-// options.controller.cache, runs it, and returns the engine's own
-// one-cell report. Every event-loop behaviour — retries, fault recovery,
+// ClusterRuntime, runs it, and returns the engine's own one-cell report. Every event-loop behaviour — retries, fault recovery,
 // the preemption ladder, batching, burn-rate alerts, epoch measurement —
 // is the engine's.
 //

@@ -64,23 +64,22 @@ class SchedHost {
 };
 
 // SchedHost over a bare OffloadnnController (unit tests and benches that
-// drive the ladder directly). `digest`, when given, must equal
-// catalog_digest(catalog).
+// drive the ladder directly). The trailing pointer is ignored; it remains
+// only for the benchmark driver, which still passes a catalog digest (see
+// core/fingerprint.h).
 class ControllerSchedHost : public SchedHost {
  public:
   ControllerSchedHost(core::OffloadnnController& controller,
                       const edge::DnnCatalog& catalog,
-                      const core::Fingerprint* digest = nullptr)
-      : controller_(controller), catalog_(catalog), digest_(digest) {}
+                      const core::Fingerprint* = nullptr)
+      : controller_(controller), catalog_(catalog) {}
 
   core::DeploymentPlan probe(
       std::vector<core::DotTask> requests) const override {
-    return controller_.probe_incremental(catalog_, std::move(requests),
-                                         digest_);
+    return controller_.probe_incremental(catalog_, std::move(requests));
   }
   core::DeploymentPlan commit(std::vector<core::DotTask> requests) override {
-    return controller_.admit_incremental(catalog_, std::move(requests),
-                                         digest_);
+    return controller_.admit_incremental(catalog_, std::move(requests));
   }
   bool release(const std::string& name) override {
     return controller_.release(name);
@@ -89,7 +88,6 @@ class ControllerSchedHost : public SchedHost {
  private:
   core::OffloadnnController& controller_;
   const edge::DnnCatalog& catalog_;
-  const core::Fingerprint* digest_;
 };
 
 // A served task the ladder may act on.

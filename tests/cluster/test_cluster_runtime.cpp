@@ -128,8 +128,7 @@ TEST(ClusterRuntime, MigrationNeverViolatesCellLedgers) {
 
 TEST(ClusterRuntime, SingleCellFirstFitMatchesServingRuntime) {
   // One cell with the full envelope, configured the way ServingRuntime
-  // configures its engine (first_fit, shared plan cache sized from the
-  // controller's cache options), is exactly the single-server serving
+  // configures its engine (first_fit), is exactly the single-server serving
   // runtime: lifecycle counters and measurement sample counts agree class
   // by class, and the single-server schema writes the same bytes.
   const core::DotInstance instance = core::make_small_scenario(5);
@@ -144,10 +143,6 @@ TEST(ClusterRuntime, SingleCellFirstFitMatchesServingRuntime) {
   ClusterOptions cluster_options;
   static_cast<runtime::RuntimeOptions&>(cluster_options) = single_options;
   cluster_options.dispatch.policy = PlacementPolicy::kFirstFit;
-  cluster_options.dispatch.plan_cache =
-      single_options.controller.cache.plan_cache;
-  cluster_options.dispatch.plan_cache_capacity =
-      single_options.controller.cache.plan_capacity;
   ClusterRuntime cluster(
       instance.catalog, {CellSpec{"cell-0", instance.resources}},
       instance.radio, instance.tasks, cluster_options);

@@ -1,32 +1,31 @@
-// Differential equivalence harness for the warm-start/caching layer
-// (DESIGN.md §8).
+// Differential equivalence harness for the controller (DESIGN.md §8).
 //
-// The contract under test: every cached or warm-started code path returns
-// results BIT-IDENTICAL to a cold solve — caches change speed, never
-// bytes. The harness renders plans and solutions to hex strings in which
-// every double appears as its raw 64-bit pattern (no decimal formatting,
-// no tolerance), and drives a warm controller (plan cache on, the
-// default) and a cold controller (plan cache off) through the same seeded
-// churn sequence, asserting byte equality at every step. solve_time_s is
-// the one deliberately excluded field — it is wall-clock, the only output
-// the cache is allowed to change.
+// The contract under test: the same inputs give BIT-IDENTICAL plans
+// whatever the thread count. The harness renders plans and solutions to
+// hex strings in which every double appears as its raw 64-bit pattern (no
+// decimal formatting, no tolerance), and drives one controller through a
+// seeded churn sequence serially and on four threads, asserting byte
+// equality at every step. solve_time_s is the one deliberately excluded
+// field — it is wall-clock.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/controller.h"
 #include "core/dot_problem.h"
-#include "core/plan_cache.h"
 #include "core/solution.h"
 #include "edge/resources.h"
 #include "fuzz_instances.h"
 #include "invariant_check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace odn::testing {
 
@@ -65,9 +64,8 @@ inline std::string serialize_cost(const core::CostBreakdown& cost) {
   return out;
 }
 
-// Everything except solve_time_s (wall-clock; the only field warm paths
-// may change). branches_explored is included: a plan-cache hit must
-// replay the populating run's count exactly.
+// Everything except solve_time_s (wall-clock; the only field that may
+// differ between equal solves). branches_explored is included.
 inline std::string serialize_solution(const core::DotSolution& solution) {
   std::string out = solution.solver_name + "|";
   put_u64(out, solution.decisions.size());
@@ -111,7 +109,7 @@ inline std::string serialize_plan(const core::DeploymentPlan& plan) {
   return out;
 }
 
-// Committed-state digest: after every step the warm and cold controllers
+// Committed-state digest: after every step the serial and parallel runs
 // must hold bit-identical ledgers and deployments.
 inline std::string serialize_state(const core::OffloadnnController& c) {
   std::string out;
@@ -129,44 +127,39 @@ struct ChurnConfig {
   std::size_t steps = 200;
   bool use_optimal_solver = false;
   // Heuristic beam width (1 = the paper's first branch); > 1 runs the
-  // parallel per-branch (z, r) fan-out with the caches on.
+  // parallel per-branch (z, r) fan-out.
   std::size_t beam_width = 1;
-  // Mid-sequence radio swap (fault churn): exercises key invalidation —
-  // a changed radio must never hit a pre-change cache entry.
+  // Mid-sequence radio swap (fault churn): later solves must see the new
+  // radio.
   bool swap_radio = true;
 };
 
-// One seeded churn sequence over a fuzzed world: admissions, departures
-// and dry-run probes in random order, every result compared byte-for-byte
-// between the warm (plan cache on) and cold (plan cache off) controllers,
-// plus constraint invariants on every warm plan. Repeated probes re-run on
-// the warm controller must also replay their own bytes (the plan-cache hit
-// path). `warm_plans`, when given, receives the warm controller's
-// plan-cache counters after the last step.
-inline void run_churn_differential(
-    const ChurnConfig& config, core::PlanCacheStats* warm_plans = nullptr) {
+// One seeded churn sequence over a fuzzed world on one controller, at the
+// current thread count: admissions, departures and dry-run probes in
+// random order. Every plan must pass check_dot_invariants, a repeated
+// probe must replay its own bytes, and the committed state must re-derive
+// from the admitted plans (no orphaned resources). Returns one transcript
+// entry per step: the step's plan or release verdict, then the committed
+// state.
+inline std::vector<std::string> churn_transcript(const ChurnConfig& config) {
   const core::DotInstance world =
       core::testing::random_instance(config.seed);
-  core::OffloadnnController::Options warm_options;
-  warm_options.use_optimal_solver = config.use_optimal_solver;
-  warm_options.heuristic.beam_width = config.beam_width;
-  warm_options.alpha = world.alpha;
-  core::OffloadnnController::Options cold_options = warm_options;
-  cold_options.cache.plan_cache = false;
-
-  core::OffloadnnController warm(world.resources, world.radio, warm_options);
-  core::OffloadnnController cold(world.resources, world.radio, cold_options);
+  core::OffloadnnController::Options options;
+  options.use_optimal_solver = config.use_optimal_solver;
+  options.heuristic.beam_width = config.beam_width;
+  options.alpha = world.alpha;
+  core::OffloadnnController controller(world.resources, world.radio,
+                                       options);
 
   util::Rng rng(config.seed * 0x9E3779B97F4A7C15ULL + 1);
-  std::vector<std::string> active;
+  std::vector<std::pair<std::string, core::TaskPlan>> active;
+  std::vector<std::string> transcript;
 
   const auto fresh_task = [&](const std::string& name) {
     core::DotTask task =
         world.tasks[rng.uniform_int(
             0, static_cast<std::int64_t>(world.tasks.size()) - 1)];
     task.spec.name = name;
-    // Perturb the spec so the sequence mixes cache hits (repeated shapes
-    // under different names — the keys are name-blind) with misses.
     if (rng.bernoulli(0.5))
       task.spec.priority = rng.uniform(0.05, 1.0);
     if (rng.bernoulli(0.3))
@@ -178,50 +171,62 @@ inline void run_churn_differential(
     SCOPED_TRACE(::testing::Message()
                  << "seed " << config.seed << ", step " << step);
     const double roll = rng.uniform(0.0, 1.0);
+    std::string entry;
 
-    if (config.swap_radio && step == config.steps / 2) {
-      const edge::RadioModel swapped = edge::RadioModel::lte();
-      warm.set_radio(swapped);
-      cold.set_radio(swapped);
-    }
+    if (config.swap_radio && step == config.steps / 2)
+      controller.set_radio(edge::RadioModel::lte());
 
     if (roll < 0.25 && !active.empty()) {
       const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(active.size()) - 1));
-      const std::string name = active[pick];
-      ASSERT_EQ(warm.release(name), cold.release(name));
+      const std::string name = active[pick].first;
+      EXPECT_TRUE(controller.release(name)) << name;
+      entry = "release:" + name + ";";
       active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
     } else if (roll < 0.55) {
       const std::vector<core::DotTask> requests{
           fresh_task("probe-" + std::to_string(step))};
-      const core::DeploymentPlan a =
-          warm.probe_incremental(world.catalog, requests);
-      const core::DeploymentPlan b =
-          cold.probe_incremental(world.catalog, requests);
-      ASSERT_EQ(serialize_plan(a), serialize_plan(b)) << "warm != cold probe";
-      // Replay: the second warm probe answers from the plan cache.
-      const core::DeploymentPlan a2 =
-          warm.probe_incremental(world.catalog, requests);
-      ASSERT_EQ(serialize_plan(a2), serialize_plan(a)) << "probe not pure";
-      check_plan_invariants(a, requests, world.catalog, world.resources,
-                            warm.radio(), "warm probe");
+      const core::DeploymentPlan probe =
+          controller.probe_incremental(world.catalog, requests);
+      entry = serialize_plan(probe);
+      EXPECT_EQ(serialize_plan(
+                    controller.probe_incremental(world.catalog, requests)),
+                entry)
+          << "probe not pure";
+      check_plan_invariants(probe, requests, world.catalog, world.resources,
+                            controller.radio(), "probe");
     } else {
       const std::string name = "task-" + std::to_string(step);
       const std::vector<core::DotTask> requests{fresh_task(name)};
-      const core::DeploymentPlan a =
-          warm.admit_incremental(world.catalog, requests);
-      const core::DeploymentPlan b =
-          cold.admit_incremental(world.catalog, requests);
-      ASSERT_EQ(serialize_plan(a), serialize_plan(b)) << "warm != cold admit";
-      check_plan_invariants(a, requests, world.catalog, world.resources,
-                            warm.radio(), "warm admit");
-      if (a.tasks.size() == 1 && a.tasks[0].admitted) active.push_back(name);
+      const core::DeploymentPlan plan =
+          controller.admit_incremental(world.catalog, requests);
+      entry = serialize_plan(plan);
+      check_plan_invariants(plan, requests, world.catalog, world.resources,
+                            controller.radio(), "admit");
+      if (plan.tasks.size() == 1 && plan.tasks[0].admitted)
+        active.emplace_back(name, plan.tasks[0]);
     }
 
-    ASSERT_EQ(serialize_state(warm), serialize_state(cold))
-        << "committed state diverged";
+    std::vector<std::pair<std::string, const core::TaskPlan*>> served;
+    for (const auto& [name, plan] : active) served.emplace_back(name, &plan);
+    check_no_orphaned_resources(controller, served, world.catalog);
+    transcript.push_back(entry + serialize_state(controller));
   }
-  if (warm_plans != nullptr) *warm_plans = warm.plan_cache()->stats();
+  return transcript;
+}
+
+// The churn above serially and on four threads: the two transcripts must
+// agree byte for byte at every step. Leaves the pool at four threads.
+inline void run_churn_differential(const ChurnConfig& config) {
+  util::set_thread_count(1);
+  const std::vector<std::string> serial = churn_transcript(config);
+  util::set_thread_count(4);
+  const std::vector<std::string> parallel = churn_transcript(config);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t step = 0; step < serial.size(); ++step)
+    ASSERT_EQ(parallel[step], serial[step])
+        << "seed " << config.seed << ": serial and 4-thread churns diverge "
+        << "at step " << step;
 }
 
 }  // namespace odn::testing

@@ -1,34 +1,28 @@
 // probe_incremental purity regression suite: probes are dry runs. Any
 // number of repeated probes must return byte-identical plans and leave
-// zero observable side effects on the controller — with the caches on
-// (where repeats answer from the plan cache), with them off (every repeat
-// a full re-solve), and interleaved with real admissions. This is the
-// property that makes the dispatcher's cross-cell cache sharing sound.
+// zero observable side effects on the controller, also interleaved with
+// real admissions. This is the property that lets the dispatcher probe
+// sibling cells concurrently and commit the winning cell's probe.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "core/controller.h"
-#include "core/plan_cache.h"
 #include "solver_equivalence.h"
 
 namespace odn::core {
 namespace {
 
-OffloadnnController make_controller(const DotInstance& world,
-                                    bool caches_on) {
+OffloadnnController make_controller(const DotInstance& world) {
   OffloadnnController::Options options;
   options.alpha = world.alpha;
-  options.cache.plan_cache = caches_on;
   return OffloadnnController(world.resources, world.radio, options);
 }
 
-class ProbePurity : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ProbePurity, RepeatedProbesAreBitIdentical) {
+TEST(ProbePurity, RepeatedProbesAreBitIdentical) {
   const DotInstance world = testing::random_instance(31);
-  OffloadnnController controller = make_controller(world, GetParam());
+  OffloadnnController controller = make_controller(world);
 
   std::vector<DotTask> requests{world.tasks[0]};
   requests[0].spec.name = "probe-me";
@@ -41,9 +35,9 @@ TEST_P(ProbePurity, RepeatedProbesAreBitIdentical) {
         << "repeat " << repeat;
 }
 
-TEST_P(ProbePurity, ProbesLeaveNoSideEffects) {
+TEST(ProbePurity, ProbesLeaveNoSideEffects) {
   const DotInstance world = testing::random_instance(33);
-  OffloadnnController controller = make_controller(world, GetParam());
+  OffloadnnController controller = make_controller(world);
 
   // Commit some real state first so the probe runs against a non-trivial
   // discounted instance.
@@ -63,9 +57,9 @@ TEST_P(ProbePurity, ProbesLeaveNoSideEffects) {
     EXPECT_NE(name, "dry-run") << "probe committed its task";
 }
 
-TEST_P(ProbePurity, ProbeEqualsSubsequentAdmitPlan) {
+TEST(ProbePurity, ProbeEqualsSubsequentAdmitPlan) {
   const DotInstance world = testing::random_instance(37);
-  OffloadnnController controller = make_controller(world, GetParam());
+  OffloadnnController controller = make_controller(world);
 
   std::vector<DotTask> requests{world.tasks[0]};
   requests[0].spec.name = "then-admit";
@@ -78,9 +72,9 @@ TEST_P(ProbePurity, ProbeEqualsSubsequentAdmitPlan) {
   EXPECT_EQ(probed, admitted);
 }
 
-TEST_P(ProbePurity, ProbesInterleavedWithChurnStayPure) {
+TEST(ProbePurity, ProbesInterleavedWithChurnStayPure) {
   const DotInstance world = testing::random_instance(41);
-  OffloadnnController controller = make_controller(world, GetParam());
+  OffloadnnController controller = make_controller(world);
 
   std::vector<DotTask> probe_requests{world.tasks[0]};
   probe_requests[0].spec.name = "steady-probe";
@@ -100,29 +94,6 @@ TEST_P(ProbePurity, ProbesInterleavedWithChurnStayPure) {
     last = now;
   }
   (void)last;
-}
-
-INSTANTIATE_TEST_SUITE_P(CachesOnAndOff, ProbePurity, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "CachesOn" : "CachesOff";
-                         });
-
-// With caches on, repeated probes must actually take the warm path (the
-// purity above would be vacuous if the cache never hit).
-TEST(ProbePurityCaching, RepeatsHitThePlanCache) {
-  const DotInstance world = testing::random_instance(43);
-  OffloadnnController controller = make_controller(world, true);
-  ASSERT_NE(controller.plan_cache(), nullptr);
-
-  std::vector<DotTask> requests{world.tasks[0]};
-  requests[0].spec.name = "hot";
-  (void)controller.probe_incremental(world.catalog, requests);
-  const PlanCacheStats cold = controller.plan_cache()->stats();
-  for (int repeat = 0; repeat < 3; ++repeat)
-    (void)controller.probe_incremental(world.catalog, requests);
-  const PlanCacheStats warm = controller.plan_cache()->stats();
-  EXPECT_EQ(warm.hits - cold.hits, 3u);
-  EXPECT_EQ(warm.misses, cold.misses);
 }
 
 }  // namespace

@@ -1,14 +1,21 @@
-// The §8 warm-start contract, end to end: cached/warm-started solves are
-// BYTE-identical to cold solves across seeded churn sequences — for both
-// solvers, serial and thread-pool-parallel, at the controller level and
-// through the cluster dispatcher's shared cross-cell plan cache.
+// Determinism and hand-off differentials, end to end:
+//  - WarmStartEquivalence: seeded churn on one controller is
+//    byte-identical serially and on four threads, for both solvers;
+//  - CostProbeHandOff: a cost_probe dispatcher, which commits the plan its
+//    own probe solved, places every task exactly as a reference loop of
+//    probe_incremental/admit_incremental calls on twin controllers does;
+//    and a plan whose controller state has moved on cannot be committed.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/dispatcher.h"
-#include "core/plan_cache.h"
 #include "core/scenarios.h"
 #include "solver_equivalence.h"
 #include "util/thread_pool.h"
@@ -22,50 +29,24 @@ class WarmStartEquivalence : public ::testing::Test {
   void TearDown() override { util::set_thread_count(0); }
 };
 
-TEST_F(WarmStartEquivalence, HeuristicSerialChurn) {
-  util::set_thread_count(1);
-  for (const std::uint64_t seed : {3u, 11u}) {
-    core::PlanCacheStats plans;
-    run_churn_differential({.seed = seed, .steps = 200}, &plans);
-    // The warm path must really be warm: the plan cache answers repeats.
-    EXPECT_GT(plans.hits, 0u) << "seed " << seed;
-  }
-}
-
 TEST_F(WarmStartEquivalence, HeuristicParallelChurn) {
-  util::set_thread_count(4);
   for (const std::uint64_t seed : {3u, 11u})
     run_churn_differential({.seed = seed, .steps = 200});
 }
 
 // Beam search fans its per-branch (z, r) optimizations out over the pool;
-// with the caches on it must still match the cold controller byte for byte.
-TEST_F(WarmStartEquivalence, HeuristicBeamSerialChurn) {
-  util::set_thread_count(1);
-  for (const std::uint64_t seed : {3u, 11u})
-    run_churn_differential({.seed = seed, .steps = 200, .beam_width = 4});
-}
-
+// it must still match the serial churn byte for byte.
 TEST_F(WarmStartEquivalence, HeuristicBeamParallelChurn) {
-  util::set_thread_count(4);
   for (const std::uint64_t seed : {3u, 11u})
     run_churn_differential({.seed = seed, .steps = 200, .beam_width = 4});
-}
-
-TEST_F(WarmStartEquivalence, OptimalSerialChurn) {
-  util::set_thread_count(1);
-  run_churn_differential(
-      {.seed = 5, .steps = 200, .use_optimal_solver = true});
 }
 
 TEST_F(WarmStartEquivalence, OptimalParallelChurn) {
-  util::set_thread_count(4);
   run_churn_differential(
       {.seed = 5, .steps = 200, .use_optimal_solver = true});
 }
 
-// The same churn transcript must fall out of every thread count: warmth
-// and parallelism compose without changing a single byte.
+// The same churn transcript must fall out of every thread count.
 TEST_F(WarmStartEquivalence, TranscriptInvariantAcrossThreadCounts) {
   const auto transcript = [](std::size_t threads) {
     util::set_thread_count(threads);
@@ -91,95 +72,185 @@ TEST_F(WarmStartEquivalence, TranscriptInvariantAcrossThreadCounts) {
   EXPECT_EQ(transcript(8), serial);
 }
 
-// Cluster-level differential: the dispatcher with its shared cross-cell
-// plan cache must place every task exactly as a cache-less dispatcher
-// does, under cost_probe (the policy that exercises the deduplicated
-// probe fan-out), serially and in parallel.
-class ClusterWarmStart : public ::testing::Test {
+// Cluster-level differential for the probe hand-off. The reference is
+// what a cost_probe admission means without it: probe every accepting
+// cell, pick the lowest admitted objective (strict <, ties to the lowest
+// index; the first accepting cell when every probe rejects), then call
+// admit_incremental on that cell and on each spillover cell in index
+// order until one admits. The dispatcher must produce the same outcome
+// and leave every cell in the same state, through churn with releases,
+// rejections, spillover walks and a cell that stops accepting.
+class CostProbeHandOff : public ::testing::Test {
  protected:
   void TearDown() override { util::set_thread_count(0); }
 
-  static std::string churn(bool shared_cache, bool parallel_probe,
-                           std::size_t cells) {
-    const core::DotInstance world = core::make_small_scenario(5);
-    std::vector<cluster::CellSpec> specs;
-    for (std::size_t i = 0; i < cells; ++i)
-      specs.push_back(
-          cluster::CellSpec{"cell-" + std::to_string(i), world.resources});
-    core::OffloadnnController::Options controller_options;
-    if (!shared_cache) controller_options.cache.plan_cache = false;
-    cluster::ClusterDispatcher dispatcher(
-        std::move(specs), world.radio, controller_options,
-        {.policy = cluster::PlacementPolicy::kCostProbe,
-         .parallel_probe = parallel_probe,
-         .plan_cache = shared_cache});
+  struct Transcripts {
+    std::string dispatcher;
+    std::string reference;
+    std::size_t rejections = 0;
+    std::set<std::size_t> cells_used;
+  };
 
-    std::string log;
+  static Transcripts churn(bool parallel_probe) {
+    const core::DotInstance world = core::make_small_scenario(5);
+    edge::EdgeResources base = world.resources;
+    base.memory_capacity_bytes *= 0.5;
+    base.compute_capacity_s *= 0.5;
+    const std::vector<cluster::CellSpec> specs =
+        cluster::make_cells(4, base, /*seed=*/3);
+    const core::OffloadnnController::Options controller_options;
+    cluster::ClusterDispatcher dispatcher(
+        specs, world.radio, controller_options,
+        {.policy = cluster::PlacementPolicy::kCostProbe,
+         .spillover = true,
+         .parallel_probe = parallel_probe});
+    std::vector<core::OffloadnnController> twins;
+    twins.reserve(specs.size());
+    for (const cluster::CellSpec& spec : specs)
+      twins.emplace_back(spec.resources, world.radio, controller_options);
+    std::vector<bool> accepting(specs.size(), true);
+
+    const auto reference_admit = [&](const core::DotTask& task) {
+      std::string log;
+      std::size_t first = cluster::kNoCell;
+      for (std::size_t i = 0; i < twins.size(); ++i)
+        if (accepting[i] && first == cluster::kNoCell) first = i;
+      std::size_t best = first;
+      double best_objective = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < twins.size(); ++i) {
+        if (!accepting[i]) continue;
+        const core::DeploymentPlan probe =
+            twins[i].probe_incremental(world.catalog, {task});
+        if (probe.tasks[0].admitted &&
+            probe.solution.cost.objective < best_objective) {
+          best = i;
+          best_objective = probe.solution.cost.objective;
+        }
+      }
+      std::vector<std::size_t> order{best};
+      for (std::size_t i = 0; i < twins.size(); ++i)
+        if (i != best && accepting[i]) order.push_back(i);
+      for (const std::size_t i : order) {
+        const core::DeploymentPlan plan =
+            twins[i].admit_incremental(world.catalog, {task});
+        if (plan.tasks[0].admitted)
+          return "admit:" + task.spec.name + ":1:" + std::to_string(i) +
+                 ":" + std::to_string(best) + ";" +
+                 serialize_task_plan(plan.tasks[0]);
+      }
+      return "admit:" + task.spec.name + ":0:" +
+             std::to_string(cluster::kNoCell) + ":" + std::to_string(best) +
+             ";";
+    };
+
+    Transcripts out;
     util::Rng rng(99);
-    std::vector<std::string> active;
+    std::vector<std::pair<std::string, std::size_t>> active;
     for (std::size_t step = 0; step < 80; ++step) {
-      if (rng.bernoulli(0.3) && !active.empty()) {
+      if (step == 20 || step == 55) {
+        accepting[2] = step == 55;
+        dispatcher.set_accepting(2, accepting[2]);
+      }
+      if (rng.bernoulli(0.2) && !active.empty()) {
         const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(active.size()) - 1));
-        log += "release:" + active[pick] + ":" +
-               std::to_string(dispatcher.release(active[pick])) + ";";
+        const auto [name, cell] = active[pick];
+        out.dispatcher += "release:" + name + ":" +
+                          std::to_string(dispatcher.release(name)) + ";";
+        out.reference += "release:" + name + ":" + std::to_string(cell) +
+                         ";";
+        EXPECT_TRUE(twins[cell].release(name));
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
-        continue;
+      } else {
+        core::DotTask task = world.tasks[static_cast<std::size_t>(
+            rng.uniform_int(
+                0, static_cast<std::int64_t>(world.tasks.size()) - 1))];
+        task.spec.name = "t" + std::to_string(step);
+        const cluster::AdmissionOutcome outcome =
+            dispatcher.admit(world.catalog, task);
+        out.dispatcher += "admit:" + task.spec.name + ":" +
+                          std::to_string(outcome.admitted) + ":" +
+                          std::to_string(outcome.cell) + ":" +
+                          std::to_string(outcome.preferred_cell) + ";";
+        if (outcome.admitted) {
+          out.dispatcher += serialize_task_plan(outcome.plan);
+          active.emplace_back(task.spec.name, outcome.cell);
+          out.cells_used.insert(outcome.cell);
+        } else {
+          ++out.rejections;
+        }
+        out.reference += reference_admit(task);
       }
-      core::DotTask task = world.tasks[static_cast<std::size_t>(
-          rng.uniform_int(0,
-                          static_cast<std::int64_t>(world.tasks.size()) - 1))];
-      task.spec.name = "t" + std::to_string(step);
-      const cluster::AdmissionOutcome outcome =
-          dispatcher.admit(world.catalog, task);
-      log += "admit:" + task.spec.name + ":" +
-             std::to_string(outcome.admitted) + ":" +
-             std::to_string(outcome.cell) + ":" +
-             std::to_string(outcome.preferred_cell) + ";";
-      if (outcome.admitted) {
-        log += serialize_task_plan(outcome.plan);
-        active.push_back(task.spec.name);
+      for (std::size_t i = 0; i < twins.size(); ++i) {
+        out.dispatcher += serialize_state(dispatcher.cell(i).controller());
+        out.reference += serialize_state(twins[i]);
       }
+      out.dispatcher += "|";
+      out.reference += "|";
     }
-    return log;
+    return out;
   }
 };
 
-TEST_F(ClusterWarmStart, SharedCacheMatchesColdDispatcherSerial) {
+TEST_F(CostProbeHandOff, MatchesReferenceLoopSerial) {
   util::set_thread_count(1);
-  const std::string cold = churn(false, false, 3);
-  EXPECT_EQ(churn(true, false, 3), cold);
+  const Transcripts run = churn(/*parallel_probe=*/false);
+  EXPECT_EQ(run.dispatcher, run.reference);
+  // Not vacuous: the churn fills cells until admissions fail (so the
+  // spillover walk runs) and spreads admissions over several cells.
+  EXPECT_GT(run.rejections, 0u);
+  EXPECT_GE(run.cells_used.size(), 2u);
 }
 
-TEST_F(ClusterWarmStart, SharedCacheMatchesColdDispatcherParallel) {
+TEST_F(CostProbeHandOff, MatchesReferenceLoopParallel) {
   util::set_thread_count(4);
-  const std::string cold = churn(false, true, 3);
-  EXPECT_EQ(churn(true, true, 3), cold);
-  // And across the serial/parallel axis with the cache on.
+  const Transcripts run = churn(/*parallel_probe=*/true);
+  EXPECT_EQ(run.dispatcher, run.reference);
   util::set_thread_count(1);
-  EXPECT_EQ(churn(true, true, 3), cold);
+  EXPECT_EQ(churn(/*parallel_probe=*/true).dispatcher, run.dispatcher);
 }
 
-TEST_F(ClusterWarmStart, EqualCellsCollapseToOneProbe) {
-  util::set_thread_count(1);
+// commit() takes a plan only while the state it was solved against holds:
+// a current probe commits exactly as admit_incremental would, while a
+// probe that a release has made stale, or another controller's plan,
+// throws and commits nothing.
+TEST_F(CostProbeHandOff, CommitRefusesStalePlans) {
   const core::DotInstance world = core::make_small_scenario(5);
-  std::vector<cluster::CellSpec> specs;
-  for (std::size_t i = 0; i < 4; ++i)
-    specs.push_back(
-        cluster::CellSpec{"cell-" + std::to_string(i), world.resources});
-  cluster::ClusterDispatcher dispatcher(
-      std::move(specs), world.radio, {},
-      {.policy = cluster::PlacementPolicy::kCostProbe});
-  ASSERT_NE(dispatcher.plan_cache(), nullptr);
+  core::OffloadnnController controller(world.resources, world.radio);
+  core::OffloadnnController twin(world.resources, world.radio);
+  for (const std::size_t t : {0u, 1u}) {
+    core::DotTask task = world.tasks[t];
+    task.spec.name = "held-" + std::to_string(t);
+    const core::DeploymentPlan probe =
+        controller.probe_incremental(world.catalog, {task});
+    controller.commit(probe, world.catalog);
+    EXPECT_EQ(serialize_plan(probe),
+              serialize_plan(twin.admit_incremental(world.catalog, {task})));
+    EXPECT_EQ(serialize_state(controller), serialize_state(twin));
+  }
 
-  core::DotTask task = world.tasks[0];
-  task.spec.name = "solo";
-  (void)dispatcher.admit(world.catalog, task);
-  // Four identical empty cells probe the same sub-instance: one solve,
-  // three deduplicated siblings, zero (first round) shared-cache hits.
-  const core::PlanCacheStats stats = dispatcher.plan_cache()->stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_GE(stats.insertions, 1u);
+  core::DotTask arrival = world.tasks[2];
+  arrival.spec.name = "arrival";
+  const core::DeploymentPlan stale =
+      controller.probe_incremental(world.catalog, {arrival});
+  ASSERT_TRUE(controller.release("held-0"));
+  const std::string before = serialize_state(controller);
+  EXPECT_THROW(controller.commit(stale, world.catalog), std::logic_error);
+  EXPECT_EQ(serialize_state(controller), before);
+
+  const core::DeploymentPlan foreign =
+      twin.probe_incremental(world.catalog, {arrival});
+  EXPECT_THROW(controller.commit(foreign, world.catalog), std::logic_error);
+  EXPECT_THROW(controller.commit(core::DeploymentPlan{}, world.catalog),
+               std::logic_error);
+  EXPECT_EQ(serialize_state(controller), before);
+
+  // A radio swap is a state change too.
+  const core::DeploymentPlan before_swap =
+      controller.probe_incremental(world.catalog, {arrival});
+  controller.set_radio(edge::RadioModel::lte());
+  EXPECT_THROW(controller.commit(before_swap, world.catalog),
+               std::logic_error);
 }
 
 }  // namespace
