@@ -132,6 +132,9 @@ struct ChurnConfig {
   // Mid-sequence radio swap (fault churn): later solves must see the new
   // radio.
   bool swap_radio = true;
+  // Admissions commit the plan a probe of the same request just solved
+  // (the cost_probe hand-off) instead of calling admit_incremental.
+  bool hand_off = false;
 };
 
 // One seeded churn sequence over a fuzzed world on one controller, at the
@@ -198,8 +201,13 @@ inline std::vector<std::string> churn_transcript(const ChurnConfig& config) {
     } else {
       const std::string name = "task-" + std::to_string(step);
       const std::vector<core::DotTask> requests{fresh_task(name)};
-      const core::DeploymentPlan plan =
-          controller.admit_incremental(world.catalog, requests);
+      core::DeploymentPlan plan;
+      if (config.hand_off) {
+        plan = controller.probe_incremental(world.catalog, requests);
+        controller.commit(plan, world.catalog);
+      } else {
+        plan = controller.admit_incremental(world.catalog, requests);
+      }
       entry = serialize_plan(plan);
       check_plan_invariants(plan, requests, world.catalog, world.resources,
                             controller.radio(), "admit");
@@ -227,6 +235,21 @@ inline void run_churn_differential(const ChurnConfig& config) {
     ASSERT_EQ(parallel[step], serial[step])
         << "seed " << config.seed << ": serial and 4-thread churns diverge "
         << "at step " << step;
+}
+
+// The churn above at the current thread count, once with admissions
+// through admit_incremental and once through the probe hand-off: the two
+// transcripts must agree byte for byte at every step.
+inline void run_hand_off_differential(ChurnConfig config) {
+  config.hand_off = false;
+  const std::vector<std::string> solved = churn_transcript(config);
+  config.hand_off = true;
+  const std::vector<std::string> handed_off = churn_transcript(config);
+  ASSERT_EQ(handed_off.size(), solved.size());
+  for (std::size_t step = 0; step < solved.size(); ++step)
+    ASSERT_EQ(handed_off[step], solved[step])
+        << "seed " << config.seed << ": hand-off and admit_incremental "
+        << "churns diverge at step " << step;
 }
 
 }  // namespace odn::testing

@@ -1,6 +1,8 @@
 // Determinism and hand-off differentials, end to end:
 //  - WarmStartEquivalence: seeded churn on one controller is
-//    byte-identical serially and on four threads, for both solvers;
+//    byte-identical whether admissions commit their own probe's plan or
+//    call admit_incremental (the Serial cases, at one thread), and
+//    serially and on four threads (the Parallel cases), for both solvers;
 //  - CostProbeHandOff: a cost_probe dispatcher, which commits the plan its
 //    own probe solved, places every task exactly as a reference loop of
 //    probe_incremental/admit_incremental calls on twin controllers does;
@@ -29,16 +31,36 @@ class WarmStartEquivalence : public ::testing::Test {
   void TearDown() override { util::set_thread_count(0); }
 };
 
+TEST_F(WarmStartEquivalence, HeuristicSerialChurn) {
+  util::set_thread_count(1);
+  for (const std::uint64_t seed : {3u, 11u})
+    run_hand_off_differential({.seed = seed, .steps = 200});
+}
+
 TEST_F(WarmStartEquivalence, HeuristicParallelChurn) {
   for (const std::uint64_t seed : {3u, 11u})
     run_churn_differential({.seed = seed, .steps = 200});
 }
 
 // Beam search fans its per-branch (z, r) optimizations out over the pool;
-// it must still match the serial churn byte for byte.
+// its probes must still commit exactly as admit_incremental would, and it
+// must match the serial churn byte for byte.
+TEST_F(WarmStartEquivalence, HeuristicBeamSerialChurn) {
+  util::set_thread_count(1);
+  for (const std::uint64_t seed : {3u, 11u})
+    run_hand_off_differential(
+        {.seed = seed, .steps = 200, .beam_width = 4});
+}
+
 TEST_F(WarmStartEquivalence, HeuristicBeamParallelChurn) {
   for (const std::uint64_t seed : {3u, 11u})
     run_churn_differential({.seed = seed, .steps = 200, .beam_width = 4});
+}
+
+TEST_F(WarmStartEquivalence, OptimalSerialChurn) {
+  util::set_thread_count(1);
+  run_hand_off_differential(
+      {.seed = 5, .steps = 200, .use_optimal_solver = true});
 }
 
 TEST_F(WarmStartEquivalence, OptimalParallelChurn) {
