@@ -47,7 +47,6 @@ EdgeCell::EdgeCell(CellSpec spec, edge::RadioModel radio,
                    core::OffloadnnController::Options controller_options)
     : spec_(std::move(spec)),
       base_radio_(radio),
-      effective_radio_(radio),
       controller_(spec_.resources, radio, controller_options) {
   spec_.resources.validate();
 }
@@ -57,9 +56,8 @@ void EdgeCell::set_radio_derate(double factor) {
     throw std::invalid_argument(
         "EdgeCell: radio derate factor outside (0, 1]");
   radio_derate_ = factor;
-  effective_radio_ =
-      factor == 1.0 ? base_radio_ : base_radio_.scaled(factor);
-  controller_.set_radio(effective_radio_);
+  controller_.set_radio(factor == 1.0 ? base_radio_
+                                      : base_radio_.scaled(factor));
 }
 
 double EdgeCell::normalized_headroom() const noexcept {

@@ -51,7 +51,9 @@ class EdgeCell {
 
   // Effective radio (the base model scaled by the current derate) — what
   // admission solves against and what epoch measurement emulates with.
-  const edge::RadioModel& radio() const noexcept { return effective_radio_; }
+  const edge::RadioModel& radio() const noexcept {
+    return controller_.radio();
+  }
   double radio_derate() const noexcept { return radio_derate_; }
 
   // Fault injection: derates the cell radio by an absolute factor in
@@ -62,7 +64,6 @@ class EdgeCell {
  private:
   CellSpec spec_;
   edge::RadioModel base_radio_;
-  edge::RadioModel effective_radio_;
   double radio_derate_ = 1.0;
   core::OffloadnnController controller_;
 };

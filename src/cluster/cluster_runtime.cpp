@@ -728,8 +728,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
                                              measured.max_batch_observed);
       }
 
-      // Latency inflation scales measured samples at accounting time; a
-      // factor of 1 is the bit-exact identity.
+      // Latency inflation scales measured samples at accounting time;
+      // multiplying by a factor of 1 is exact.
       const double latency_factor =
           injector.idle() ? 1.0 : injector.state(i).latency_factor;
       CellReport& cell = report.cells[i];
@@ -739,9 +739,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         runtime::ClassStats& stats = cell.classes[class_index];
         std::size_t violations = 0;
         for (const sim::LatencySample& latency : task_trace.samples) {
-          const double measured_s = latency_factor == 1.0
-                                        ? latency.latency_s
-                                        : latency.latency_s * latency_factor;
+          const double measured_s = latency.latency_s * latency_factor;
           stats.latency_samples_s.push_back(measured_s);
           cell_latencies.push_back(measured_s);
           if (measured_s > task_trace.latency_bound_s) ++violations;

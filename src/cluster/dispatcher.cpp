@@ -131,9 +131,9 @@ std::size_t ClusterDispatcher::choose_cell(
       double best_objective = objective(best);
       for (std::size_t i = best + 1; i < cells_.size(); ++i) {
         // Strict < : ties stay with the lowest index. All-rejecting
-        // probes leave best = first_accepting; the admission attempt then
-        // fails there and spillover confirms the rejection on the
-        // siblings. Non-accepting cells read +inf, so they never win.
+        // probes leave best = first_accepting, whose rejecting probe the
+        // admission then declines to commit. Non-accepting cells read
+        // +inf, so they never win.
         if (objective(i) < best_objective) {
           best = i;
           best_objective = objective(i);
@@ -162,7 +162,10 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
   std::vector<std::size_t> order;
   order.reserve(cells_.size());
   order.push_back(outcome.preferred_cell);
-  if (options_.spillover) {
+  // Under cost_probe the preferred cell holds the lowest-objective
+  // admitting probe, so when it rejects, every accepting cell's probe
+  // rejected too: there is no cell to spill to.
+  if (options_.spillover && probes.empty()) {
     for (std::size_t i = 0; i < cells_.size(); ++i)
       if (i != outcome.preferred_cell && accepting_[i]) order.push_back(i);
   }
@@ -171,15 +174,14 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
   for (const std::size_t index : order) {
     metrics.placement_attempts.inc();
     core::OffloadnnController& controller = cells_[index].controller();
-    // A cost_probe admission commits the cell's probe: a failed attempt
-    // changes only its own cell, so every sibling's probe is still
-    // current when spillover reaches it.
+    // A cost_probe admission commits the cell's probe, and only when it
+    // admits: a rejecting plan would change nothing but the ledger stamp.
     core::DeploymentPlan plan;
     if (probes.empty()) {
       plan = controller.admit_incremental(catalog, {task});
     } else {
       plan = std::move(probes[index]);
-      controller.commit(plan, catalog);
+      if (admits_one(plan)) controller.commit(plan, catalog);
     }
     if (admits_one(plan)) {
       outcome.admitted = true;

@@ -1,14 +1,16 @@
 // Cluster-wide admission front door: owns the cells, picks a target cell
-// per placement policy, and spills rejected tasks over to the remaining
-// cells (fixed index order) before the caller's retry policy kicks in.
+// per placement policy, and (first_fit, least_loaded) spills rejected
+// tasks over to the remaining cells (fixed index order) before the
+// caller's retry policy kicks in.
 //
 // Determinism contract: admission outcomes depend only on (cells, policy,
 // request) — the cost_probe fan-out writes each cell's probe into its own
 // slot and reduces serially in cell order with strict `<` tie-breaking, so
 // ODN_THREADS never changes which cell wins. Under cost_probe an
-// admission commits the plan its probe solved on the chosen cell (and on
-// each spillover cell), which is the plan admit_incremental would solve
-// again on the unchanged cell state.
+// admission commits the plan its probe solved on the chosen cell, which is
+// the plan admit_incremental would solve again on the unchanged cell
+// state; when that probe rejects, every probe rejected, and the admission
+// commits nothing.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +33,8 @@ inline constexpr std::size_t kNoCell = std::numeric_limits<std::size_t>::max();
 struct DispatcherOptions {
   PlacementPolicy policy = PlacementPolicy::kLeastLoaded;
   // When the preferred cell rejects, try every remaining cell in fixed
-  // index order before reporting the rejection.
+  // index order before reporting the rejection. cost_probe has probed
+  // every cell already, so it never spills.
   bool spillover = true;
   // cost_probe only: fan the per-cell probes out on the global thread
   // pool. Bit-identical to the serial path (the golden-report ctest pins
@@ -67,7 +70,8 @@ class ClusterDispatcher {
   std::size_t choose_cell(const edge::DnnCatalog& catalog,
                           const core::DotTask& task) const;
 
-  // Full admission: preferred cell first, then spillover. Records
+  // Full admission: preferred cell first, then spillover (not under
+  // cost_probe). Records
   // ownership on success. Task names must be cluster-unique. The trailing
   // pointer is ignored; it remains only for the benchmark driver, which
   // still passes a catalog digest (see core/fingerprint.h).

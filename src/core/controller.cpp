@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace odn::core {
 namespace {
@@ -127,16 +126,12 @@ std::vector<std::string> OffloadnnController::active_tasks() const {
 DeploymentPlan OffloadnnController::admit(const edge::DnnCatalog& catalog,
                                           std::vector<DotTask> requests) {
   reset();
-  DeploymentPlan result =
-      plan(catalog, std::move(requests), /*incremental=*/false);
-  commit(result, catalog);
-  return result;
+  return admit_incremental(catalog, std::move(requests));
 }
 
 DeploymentPlan OffloadnnController::admit_incremental(
     const edge::DnnCatalog& catalog, std::vector<DotTask> requests) {
-  DeploymentPlan result =
-      plan(catalog, std::move(requests), /*incremental=*/true);
+  DeploymentPlan result = plan(catalog, std::move(requests));
   commit(result, catalog);
   return result;
 }
@@ -145,41 +140,37 @@ DeploymentPlan OffloadnnController::probe_incremental(
     const edge::DnnCatalog& catalog, std::vector<DotTask> requests) const {
   ODN_TRACE_SPAN("controller", "controller.probe_incremental");
   ControllerMetrics::instance().probes.inc();
-  return plan(catalog, std::move(requests), /*incremental=*/true);
+  return plan(catalog, std::move(requests));
 }
 
 DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
-                                         std::vector<DotTask> requests,
-                                         bool incremental) const {
+                                         std::vector<DotTask> requests) const {
   ODN_TRACE_SPAN("controller", "controller.plan");
   ControllerMetrics::instance().plans.inc();
 
-  // Step 2: assemble the DOT inputs — block availability and the (possibly
-  // discounted) resource capacities. The instance borrows the caller's
-  // block table: copying a catalog copies no blocks.
+  // Step 2: assemble the DOT inputs — block availability and the resource
+  // capacities left after the active commitments (the full capacities on
+  // an empty ledger). The instance borrows the caller's block table:
+  // copying a catalog copies no blocks.
   DotInstance instance;
-  instance.name = incremental ? "controller-incremental" : "controller";
+  instance.name = "controller";
   instance.catalog = catalog;
   instance.tasks = std::move(requests);
   instance.resources = resources_;
   instance.radio = radio_;
   instance.alpha = options_.alpha;
-
-  if (incremental) {
-    instance.resources.memory_capacity_bytes = std::max(
-        1.0, resources_.memory_capacity_bytes - ledger_.memory_used_bytes());
-    instance.resources.compute_capacity_s = std::max(
-        1e-9, resources_.compute_capacity_s - ledger_.compute_used_s());
-    instance.resources.total_rbs =
-        resources_.total_rbs > ledger_.rbs_used()
-            ? resources_.total_rbs - ledger_.rbs_used()
-            : 1;
-    // Already-deployed blocks are free: they are resident and trained
-    // (the paper's dynamic-scenario rule). The solvers read them as free
-    // through the instance's deployed-block overlay; the catalog itself
-    // is never patched.
-    instance.deployed = deployed_blocks_;
-  }
+  instance.resources.memory_capacity_bytes = std::max(
+      1.0, resources_.memory_capacity_bytes - ledger_.memory_used_bytes());
+  instance.resources.compute_capacity_s = std::max(
+      1e-9, resources_.compute_capacity_s - ledger_.compute_used_s());
+  instance.resources.total_rbs = resources_.total_rbs > ledger_.rbs_used()
+                                     ? resources_.total_rbs - ledger_.rbs_used()
+                                     : 1;
+  // Already-deployed blocks are free: they are resident and trained (the
+  // paper's dynamic-scenario rule). The solvers read them as free through
+  // the instance's deployed-block overlay; the catalog itself is never
+  // patched.
+  instance.deployed = deployed_blocks_;
   instance.finalize();
 
   // Step 3: solve DOT.
@@ -188,61 +179,46 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
           ? OptimalSolver{}.solve(instance)
           : OffloadnnSolver{options_.heuristic}.solve(instance);
 
-  // Steps 4-6: allocate resources, deploy blocks, compute per-task plans.
-  // Plan assembly splits into a parallel phase — each task's plan (with its
-  // latency-model evaluation) is built independently into its own slot —
-  // and a serial aggregation phase that walks the plans in task order, so
-  // the bookkeeping is identical for any thread count. Nothing here
-  // mutates the controller: commit() applies the result.
+  // Steps 4-6: allocate resources, deploy blocks, compute per-task plans,
+  // in task order. Nothing here mutates the controller: commit() applies
+  // the result.
   DeploymentPlan result;
   result.solution = solution;
   result.planned_by = this;
   result.planned_at = stamp_;
+  result.tasks.resize(instance.tasks.size());
   std::unordered_set<edge::BlockIndex> new_blocks;
   double shared_rbs = 0.0;
 
-  std::vector<TaskPlan> task_plans(instance.tasks.size());
-  util::global_parallel_for(instance.tasks.size(), [&](std::size_t t) {
+  for (std::size_t t = 0; t < instance.tasks.size(); ++t) {
     const DotTask& task = instance.tasks[t];
     const TaskDecision& decision = solution.decisions[t];
-    TaskPlan& task_plan = task_plans[t];
+    TaskPlan& task_plan = result.tasks[t];
     task_plan.task_name = task.spec.name;
     task_plan.correlation = task.spec.correlation;
     task_plan.latency_bound_s = task.spec.max_latency_s;
     task_plan.admitted = decision.admitted();
-    if (decision.admitted()) {
-      const PathOption& option = task.options[decision.option_index];
-      task_plan.admission_ratio = decision.admission_ratio;
-      task_plan.admitted_rate =
-          decision.admission_ratio * task.spec.request_rate;
-      task_plan.slice_rbs = decision.rbs;
-      task_plan.blocks = option.path.blocks;
-      task_plan.expected_latency_s =
-          instance.end_to_end_latency_s(task, option, decision.rbs);
-      task_plan.accuracy = option.accuracy;
-      task_plan.inference_time_s = option.inference_time_s;
-      task_plan.input_bits = option.input_bits;
-      // Safe from parallel lanes: histogram accumulators commute, and the
-      // set of observed values is partition-independent.
-      ControllerMetrics::instance().expected_latency.observe(
-          task_plan.expected_latency_s);
+    if (!decision.admitted()) continue;
+    const PathOption& option = task.options[decision.option_index];
+    task_plan.admission_ratio = decision.admission_ratio;
+    task_plan.admitted_rate =
+        decision.admission_ratio * task.spec.request_rate;
+    task_plan.slice_rbs = decision.rbs;
+    task_plan.blocks = option.path.blocks;
+    task_plan.expected_latency_s =
+        instance.end_to_end_latency_s(task, option, decision.rbs);
+    task_plan.accuracy = option.accuracy;
+    task_plan.inference_time_s = option.inference_time_s;
+    task_plan.input_bits = option.input_bits;
+    ControllerMetrics::instance().expected_latency.observe(
+        task_plan.expected_latency_s);
+    shared_rbs +=
+        decision.admission_ratio * static_cast<double>(decision.rbs);
+    for (const edge::BlockIndex b : option.path.blocks) {
+      const bool already_deployed = std::binary_search(
+          deployed_blocks_.begin(), deployed_blocks_.end(), b);
+      if (!already_deployed) new_blocks.insert(b);
     }
-  });
-
-  for (std::size_t t = 0; t < instance.tasks.size(); ++t) {
-    const TaskDecision& decision = solution.decisions[t];
-    if (decision.admitted()) {
-      const PathOption& option =
-          instance.tasks[t].options[decision.option_index];
-      shared_rbs +=
-          decision.admission_ratio * static_cast<double>(decision.rbs);
-      for (const edge::BlockIndex b : option.path.blocks) {
-        const bool already_deployed = std::binary_search(
-            deployed_blocks_.begin(), deployed_blocks_.end(), b);
-        if (!already_deployed) new_blocks.insert(b);
-      }
-    }
-    result.tasks.push_back(std::move(task_plans[t]));
   }
 
   for (const edge::BlockIndex b : new_blocks) {

@@ -73,9 +73,9 @@ class OffloadnnController {
   OffloadnnController(const edge::EdgeResources& resources,
                       edge::RadioModel radio);
 
-  // One-shot admission: solve DOT for the request set against the full
-  // capacities, commit the allocation, and return the plan. Resets any
-  // previous deployment.
+  // One-shot admission: reset() followed by admit_incremental, which on
+  // the empty ledger solves against the full capacities. Returns the
+  // committed plan.
   DeploymentPlan admit(const edge::DnnCatalog& catalog,
                        std::vector<DotTask> requests);
 
@@ -144,11 +144,11 @@ class OffloadnnController {
     std::vector<edge::BlockIndex> blocks;
   };
 
-  // Solve-and-assemble phase: builds the (possibly discounted) instance,
-  // runs the solver and produces the full plan, stamped with the current
-  // state. Const — commits nothing.
+  // Solve-and-assemble phase: builds the instance discounted by the
+  // active commitments, runs the solver and produces the full plan,
+  // stamped with the current state. Const — commits nothing.
   DeploymentPlan plan(const edge::DnnCatalog& catalog,
-                      std::vector<DotTask> requests, bool incremental) const;
+                      std::vector<DotTask> requests) const;
   // Recomputes the ledger and deployed-block list from active_.
   void rebuild_ledger();
   // Advances stamp_ (every state change calls this), clearing the block

@@ -13,12 +13,12 @@
 namespace odn::core {
 namespace {
 
-// Exhaustive-traversal accounting. Caveat (mirrors branches_explored in
-// DotSolution): with bound_pruning enabled the parallel fan-out prunes
-// against per-subtree incumbents, so visited/pruned totals may exceed the
-// serial run's — these counters are deterministic for a fixed thread
-// count, not across ODN_THREADS. The churn benches never run this solver,
-// so the golden metrics contract is unaffected.
+// Exhaustive-traversal accounting. Without bound pruning every counter
+// matches the serial traversal for any ODN_THREADS. Caveat (mirrors
+// branches_explored in DotSolution): with bound_pruning enabled the
+// parallel fan-out prunes against per-subtree incumbents, so the
+// visited/branch/pruned totals may exceed the serial run's — deterministic
+// for a fixed thread count, not across ODN_THREADS.
 struct OptimalMetrics {
   obs::Counter& solves;
   obs::Counter& vertices_visited;
@@ -57,6 +57,42 @@ struct DfsContext {
   std::size_t pruned = 0;   // bound-pruned subtrees
 };
 
+void dfs(DfsContext& ctx, std::size_t layer_index);
+
+// One vertex of layer `layer_index`: apply it (count newly used blocks
+// once), descend when it fits the memory capacity, then undo. Both the
+// recursion and the solver's first-layer fan-out take this step.
+void visit_vertex(DfsContext& ctx, std::size_t layer_index,
+                  const TreeVertex& vertex) {
+  const std::size_t task_index = ctx.tree.layer_task(layer_index);
+  const PathOption& option =
+      ctx.instance.tasks[task_index].options[vertex.option_index];
+  ++ctx.visited;
+
+  double memory_delta = 0.0;
+  double training_delta = 0.0;
+  for (const edge::BlockIndex b : option.path.blocks) {
+    if (ctx.block_use[b]++ == 0) {
+      memory_delta += ctx.instance.block_memory_bytes(b);
+      training_delta += ctx.instance.block_training_cost_s(b);
+    }
+  }
+  ctx.memory_used += memory_delta;
+  ctx.training_committed += training_delta;
+
+  // The paper's traversal rule: halt the branch when cumulative memory
+  // exceeds M.
+  if (ctx.memory_used <=
+      ctx.instance.resources.memory_capacity_bytes * (1.0 + 1e-12)) {
+    ctx.choices[task_index] = vertex.option_index;
+    dfs(ctx, layer_index + 1);
+  }
+
+  ctx.memory_used -= memory_delta;
+  ctx.training_committed -= training_delta;
+  for (const edge::BlockIndex b : option.path.blocks) --ctx.block_use[b];
+}
+
 void dfs(DfsContext& ctx, std::size_t layer_index) {
   if (layer_index == ctx.tree.num_layers()) {
     ++ctx.branches;
@@ -83,7 +119,6 @@ void dfs(DfsContext& ctx, std::size_t layer_index) {
   }
 
   const std::size_t task_index = ctx.tree.layer_task(layer_index);
-  const auto layer = ctx.tree.layer(layer_index);
 
   // Explicit skip child: the task is rejected on this subtree. This
   // completes the search space relative to the paper's traversal (which
@@ -92,36 +127,8 @@ void dfs(DfsContext& ctx, std::size_t layer_index) {
   ctx.choices[task_index] = std::nullopt;
   dfs(ctx, layer_index + 1);
 
-  for (const TreeVertex& vertex : layer) {
-    const PathOption& option =
-        ctx.instance.tasks[task_index].options[vertex.option_index];
-    ++ctx.visited;
-
-    // Apply the vertex: count newly used blocks once.
-    double memory_delta = 0.0;
-    double training_delta = 0.0;
-    for (const edge::BlockIndex b : option.path.blocks) {
-      if (ctx.block_use[b]++ == 0) {
-        memory_delta += ctx.instance.block_memory_bytes(b);
-        training_delta += ctx.instance.block_training_cost_s(b);
-      }
-    }
-    ctx.memory_used += memory_delta;
-    ctx.training_committed += training_delta;
-
-    // The paper's traversal rule: halt the branch when cumulative memory
-    // exceeds M.
-    if (ctx.memory_used <=
-        ctx.instance.resources.memory_capacity_bytes * (1.0 + 1e-12)) {
-      ctx.choices[task_index] = vertex.option_index;
-      dfs(ctx, layer_index + 1);
-    }
-
-    // Undo.
-    ctx.memory_used -= memory_delta;
-    ctx.training_committed -= training_delta;
-    for (const edge::BlockIndex b : option.path.blocks) --ctx.block_use[b];
-  }
+  for (const TreeVertex& vertex : ctx.tree.layer(layer_index))
+    visit_vertex(ctx, layer_index, vertex);
   ctx.choices[task_index] = std::nullopt;
 }
 
@@ -215,31 +222,16 @@ DotSolution OptimalSolver::solve(const DotInstance& instance) const {
       std::size_t pruned = 0;
     };
     std::vector<SubtreeResult> results(fanout);
-    const std::size_t task0 = tree.layer_task(0);
 
     util::global_parallel_for(fanout, [&](std::size_t child) {
       DfsContext ctx =
           make_context(instance, tree, optimizer, evaluator, options_);
       if (child == 0) {
-        // The skip child: the first task is rejected on this subtree.
-        ctx.choices[task0] = std::nullopt;
+        // The skip child: the first task is rejected on this subtree
+        // (choices start empty).
         dfs(ctx, 1);
       } else {
-        const TreeVertex& vertex = tree.layer(0)[child - 1];
-        const PathOption& option =
-            instance.tasks[task0].options[vertex.option_index];
-        for (const edge::BlockIndex b : option.path.blocks) {
-          if (ctx.block_use[b]++ == 0) {
-            ctx.memory_used += instance.block_memory_bytes(b);
-            ctx.training_committed +=
-                instance.block_training_cost_s(b);
-          }
-        }
-        if (ctx.memory_used <=
-            instance.resources.memory_capacity_bytes * (1.0 + 1e-12)) {
-          ctx.choices[task0] = vertex.option_index;
-          dfs(ctx, 1);
-        }
+        visit_vertex(ctx, 0, tree.layer(0)[child - 1]);
       }
       results[child] = SubtreeResult{ctx.have_best, ctx.best_objective,
                                      std::move(ctx.best_decisions),

@@ -45,8 +45,8 @@ struct BatchCostModel {
 };
 
 struct BatchingOptions {
-  // Strict no-op gate: when false, every consumer takes its exact
-  // pre-batching code path (byte-identical outputs).
+  // Strict no-op gate: when false, every consumer behaves as if each
+  // request were a batch of one (byte-identical outputs).
   bool enabled = false;
 
   // Most same-path requests one GPU dispatch may coalesce.

@@ -49,7 +49,7 @@ struct RuntimeOptions {
   sched::SchedOptions sched{};
   // Epoch-boundary request batching (model/batching.h). Disabled is a
   // strict no-op: admission probes keep compute_scale = 1.0 and the epoch
-  // emulator takes its exact pre-batching code path.
+  // emulator dispatches every request alone at its single-request cost.
   model::BatchingOptions batching{};
   // SLO burn-rate alerting (obs/alerts.h), evaluated over the per-class
   // violation counters at every epoch boundary. Disabled is a strict

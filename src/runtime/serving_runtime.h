@@ -53,7 +53,7 @@ class ServingRuntime {
     return engine_.class_of(priority);
   }
 
-  // The one cell's controller (caches, ledger, deployed blocks).
+  // The one cell's controller (ledger, deployed blocks, active tasks).
   const core::OffloadnnController& controller() const noexcept {
     return engine_.dispatcher().cell(0).controller();
   }

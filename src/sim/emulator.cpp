@@ -22,7 +22,7 @@ enum class EventKind : std::uint8_t {
   kTxComplete,
   kInferenceComplete,
   kDownlinkComplete,
-  kBatchBoundary,  // batching only: a group's aggregation window expired
+  kBatchBoundary,  // a group's aggregation window expired
 };
 
 struct Event {
@@ -116,12 +116,11 @@ EmulationReport EdgeEmulator::run() {
   report.tasks.resize(admitted.size());
   if (admitted.empty()) return report;
 
-  // GPU executor pool: ⌊C⌋ parallel servers (at least one). Each inference
-  // occupies one server for the path's measured compute time.
+  // GPU executor pool: ⌊C⌋ parallel servers (at least one). Each dispatch
+  // occupies one server for its batch's compute time.
   const std::size_t gpu_servers = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::floor(compute_capacity_s_)));
   std::size_t gpu_busy = 0;
-  std::queue<std::pair<std::size_t, std::size_t>> gpu_queue;  // (trace, req)
   double gpu_busy_integral = 0.0;
   double last_event_time = 0.0;
 
@@ -171,37 +170,51 @@ EmulationReport EdgeEmulator::run() {
     calendar.push(Event{first, sequence++, EventKind::kArrival, i, 0});
   }
 
-  // --- Epoch-boundary batching (strict no-op when disabled) ---------------
-  // Traces sharing a deployed path (same block sequence and inference time)
-  // form a batch group. A request whose uplink finished joins its group's
-  // pending micro-batch; the batch seals when the group's aggregation
-  // window (batching.window_s from the first pending request) expires or
-  // max_batch requests accumulate, and sealed batches dispatch FIFO onto
-  // free executors for batch_cost_s(c1, b) seconds.
+  // --- Dispatch groups --------------------------------------------------
+  // Every inference reaches the GPU as a sealed batch. A request whose
+  // uplink finished joins its group's pending micro-batch; the batch seals
+  // when the group's aggregation window (batching.window_s from the first
+  // pending request) expires or max_batch requests accumulate, and sealed
+  // batches dispatch FIFO onto free executors for batch_cost_s(c1, b)
+  // seconds. With batching on, traces sharing a deployed path (same block
+  // sequence and inference time) form one group. With it off, each trace
+  // is its own group and max_batch is 1: every request seals alone as its
+  // uplink finishes and runs for batch_cost_s(c1, 1) == c1.
   const bool batching = options_.batching.enabled;
-  std::vector<std::size_t> group_of(admitted.size(), 0);
-  std::size_t group_count = 0;
-  if (batching) {
-    std::map<std::pair<std::vector<edge::BlockIndex>, double>, std::size_t>
-        groups;
-    for (std::size_t i = 0; i < admitted.size(); ++i) {
-      const core::TaskPlan& task_plan = plan_.tasks[admitted[i]];
-      const auto key = std::make_pair(task_plan.blocks, params[i].inference_s);
-      group_of[i] = groups.emplace(key, groups.size()).first->second;
-    }
-    group_count = groups.size();
+  const std::size_t max_batch = batching ? options_.batching.max_batch : 1;
+  std::vector<std::size_t> group_of(admitted.size());
+  std::map<std::pair<std::vector<edge::BlockIndex>, double>, std::size_t>
+      groups;
+  for (std::size_t i = 0; i < admitted.size(); ++i) {
+    group_of[i] = i;
+    if (!batching) continue;
+    const auto key = std::make_pair(plan_.tasks[admitted[i]].blocks,
+                                    params[i].inference_s);
+    group_of[i] = groups.emplace(key, groups.size()).first->second;
   }
+  using Member = std::pair<std::size_t, std::size_t>;  // (trace, request)
   struct GroupState {
-    std::deque<std::pair<std::size_t, std::size_t>> pending;  // (trace, req)
+    std::vector<Member> pending;  // cleared on seal, capacity kept
     // Sealing bumps the generation; an outstanding boundary event whose
     // generation no longer matches is stale and ignored.
     std::uint64_t generation = 0;
   };
-  std::vector<GroupState> group_states(group_count);
-  std::deque<std::size_t> ready_batches;  // sealed, FIFO by seal time
-  // Members of each sealed batch; kInferenceComplete.request indexes this
-  // table when batching is on.
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> batch_members;
+  std::vector<GroupState> group_states(batching ? groups.size()
+                                                : admitted.size());
+  // Sealed batches, flat: batch b's members are
+  // members[batch_start[b], batch_start[b + 1]). kInferenceComplete.request
+  // names the batch. Batches dispatch in seal order, so the ready queue is
+  // the batch ids from next_batch on.
+  std::vector<Member> members;
+  std::vector<std::size_t> batch_start{0};
+  std::size_t next_batch = 0;
+  // Sized for the expected arrivals, so the flat storage rarely regrows.
+  double expected_requests = 0.0;
+  for (const TraceParams& p : params)
+    expected_requests += p.rate * options_.duration_s;
+  members.reserve(static_cast<std::size_t>(expected_requests) +
+                  admitted.size());
+  batch_start.reserve(members.capacity() + 1);
 
   auto account_gpu = [&](double now) {
     gpu_busy_integral +=
@@ -209,57 +222,46 @@ EmulationReport EdgeEmulator::run() {
     last_event_time = now;
   };
 
-  auto start_inference = [&](double now, std::size_t trace,
-                             std::size_t request) {
-    if (gpu_busy < gpu_servers) {
-      ++gpu_busy;
-      calendar.push(Event{now + params[trace].inference_s, sequence++,
-                          EventKind::kInferenceComplete, trace, request});
-    } else {
-      gpu_queue.emplace(trace, request);
-    }
-  };
-
-  // Move a group's pending requests into a sealed batch on the ready
-  // queue. Serial event-loop code: deterministic for any ODN_THREADS.
+  // Move a group's pending requests into a sealed batch. Serial event-loop
+  // code: deterministic for any ODN_THREADS.
   auto seal_group = [&](double now, std::size_t group) {
     GroupState& state = group_states[group];
     if (state.pending.empty()) return;
     ++state.generation;  // invalidate any outstanding boundary event
-    batch_members.emplace_back(state.pending.begin(), state.pending.end());
-    const std::size_t batch_size = state.pending.size();
-    state.pending.clear();
-    ready_batches.push_back(batch_members.size() - 1);
-    if (obs::flight_enabled()) {
+    members.insert(members.end(), state.pending.begin(), state.pending.end());
+    batch_start.push_back(members.size());
+    if (batching && obs::flight_enabled()) {
       // Serial event-loop site: seal order and contents are identical for
       // any ODN_THREADS. The event carries the lead member's correlation.
       obs::FlightEvent event;
       event.time_s = options_.flight_time_base_s + now;
       event.kind = obs::FlightEventKind::kBatchSeal;
       event.task =
-          plan_.tasks[admitted[batch_members.back().front().first]].correlation;
+          plan_.tasks[admitted[state.pending.front().first]].correlation;
       event.cell = options_.flight_cell;
-      event.count = batch_size;
+      event.count = state.pending.size();
       obs::flight_record(event);
     }
+    state.pending.clear();
   };
 
   // Dispatch sealed batches FIFO onto free executors.
   auto dispatch_ready = [&](double now) {
-    while (gpu_busy < gpu_servers && !ready_batches.empty()) {
-      const std::size_t batch_id = ready_batches.front();
-      ready_batches.pop_front();
-      const auto& members = batch_members[batch_id];
+    for (; gpu_busy < gpu_servers && next_batch + 1 < batch_start.size();
+         ++next_batch) {
+      const std::size_t lead = members[batch_start[next_batch]].first;
+      const std::size_t size =
+          batch_start[next_batch + 1] - batch_start[next_batch];
       const double duration = options_.batching.cost.batch_cost_s(
-          params[members.front().first].inference_s, members.size());
+          params[lead].inference_s, size);
       ++gpu_busy;
-      ++report.batch_dispatches;
-      report.coalesced_requests += members.size() - 1;
-      report.max_batch_observed =
-          std::max(report.max_batch_observed, members.size());
+      if (batching) {
+        ++report.batch_dispatches;
+        report.coalesced_requests += size - 1;
+        report.max_batch_observed = std::max(report.max_batch_observed, size);
+      }
       calendar.push(Event{now + duration, sequence++,
-                          EventKind::kInferenceComplete,
-                          members.front().first, batch_id});
+                          EventKind::kInferenceComplete, lead, next_batch});
     }
   };
 
@@ -318,21 +320,17 @@ EmulationReport EdgeEmulator::run() {
       }
       case EventKind::kTxComplete: {
         requests[trace][event.request].tx_done_s = event.time;
-        if (batching) {
-          const std::size_t group = group_of[trace];
-          GroupState& state = group_states[group];
-          state.pending.emplace_back(trace, event.request);
-          if (state.pending.size() >= options_.batching.max_batch) {
-            seal_group(event.time, group);
-            dispatch_ready(event.time);
-          } else if (state.pending.size() == 1) {
-            // First pending request opens the group's aggregation window.
-            calendar.push(Event{event.time + options_.batching.window_s,
-                                sequence++, EventKind::kBatchBoundary, group,
-                                static_cast<std::size_t>(state.generation)});
-          }
-        } else {
-          start_inference(event.time, trace, event.request);
+        const std::size_t group = group_of[trace];
+        GroupState& state = group_states[group];
+        state.pending.emplace_back(trace, event.request);
+        if (state.pending.size() >= max_batch) {
+          seal_group(event.time, group);
+          dispatch_ready(event.time);
+        } else if (state.pending.size() == 1) {
+          // First pending request opens the group's aggregation window.
+          calendar.push(Event{event.time + options_.batching.window_s,
+                              sequence++, EventKind::kBatchBoundary, group,
+                              static_cast<std::size_t>(state.generation)});
         }
         if (!slices[trace].queue.empty()) {
           const std::size_t next = slices[trace].queue.front();
@@ -344,37 +342,21 @@ EmulationReport EdgeEmulator::run() {
         break;
       }
       case EventKind::kInferenceComplete: {
-        if (batching) {
-          // event.request names a dispatch; finish every member of it.
-          for (const auto& [mt, mr] : batch_members[event.request]) {
-            requests[mt][mr].infer_done_s = event.time;
-            if (params[mt].downlink_s > 0.0) {
-              calendar.push(Event{event.time + params[mt].downlink_s,
-                                  sequence++, EventKind::kDownlinkComplete,
-                                  mt, mr});
-            } else {
-              record_sample(event.time, mt, mr);
-            }
+        // event.request names a batch; finish every member of it.
+        for (std::size_t m = batch_start[event.request];
+             m < batch_start[event.request + 1]; ++m) {
+          const auto [mt, mr] = members[m];
+          requests[mt][mr].infer_done_s = event.time;
+          if (params[mt].downlink_s > 0.0) {
+            calendar.push(Event{event.time + params[mt].downlink_s,
+                                sequence++, EventKind::kDownlinkComplete, mt,
+                                mr});
+          } else {
+            record_sample(event.time, mt, mr);
           }
-          --gpu_busy;
-          dispatch_ready(event.time);
-          break;
         }
-        requests[trace][event.request].infer_done_s = event.time;
-        if (params[trace].downlink_s > 0.0) {
-          calendar.push(Event{event.time + params[trace].downlink_s,
-                              sequence++, EventKind::kDownlinkComplete,
-                              trace, event.request});
-        } else {
-          record_sample(event.time, trace, event.request);
-        }
-
         --gpu_busy;
-        if (!gpu_queue.empty()) {
-          const auto [next_trace, next_request] = gpu_queue.front();
-          gpu_queue.pop();
-          start_inference(event.time, next_trace, next_request);
-        }
+        dispatch_ready(event.time);
         break;
       }
       case EventKind::kDownlinkComplete: {

@@ -30,12 +30,12 @@ struct EmulatorOptions {
   // are tiny relative to the uplink image. Transmitted over the same
   // slice after inference; 0 disables the downlink phase.
   double result_bits = 2e3;
-  // Epoch-boundary request batching. When batching.enabled is false the
-  // emulator takes its exact pre-batching code path (byte-identical
-  // reports); when true, requests sharing a path aggregate for up to
-  // batching.window_s (sealing early at batching.max_batch), and each
-  // sealed batch occupies one GPU executor for
-  // batching.cost.batch_cost_s(c1, size).
+  // Epoch-boundary request batching. Requests sharing a path aggregate
+  // for up to batching.window_s (sealing early at batching.max_batch), and
+  // each sealed batch occupies one GPU executor for
+  // batching.cost.batch_cost_s(c1, size). When batching.enabled is false
+  // every request is a batch of one, which costs exactly c1, and no other
+  // batching field is read.
   model::BatchingOptions batching{};
   // Flight-recorder context: emulator-internal timestamps are relative to
   // the emulation window, so epoch-driven callers pass the window's start

@@ -1,6 +1,6 @@
 // Fixed-size thread pool with a parallel-for helper and a process-wide
 // shared instance used by every hot path (GEMM, convolution batching, the
-// solver branch fan-out, controller plan assembly).
+// solver branch fan-out, the cost_probe cell fan-out).
 //
 // Tasks must not throw across the pool boundary; parallel_for captures the
 // first exception and rethrows it on the caller thread.

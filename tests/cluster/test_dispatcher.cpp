@@ -4,6 +4,7 @@
 
 #include "cluster/dispatcher.h"
 #include "core/scenarios.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace odn::cluster {
@@ -121,6 +122,32 @@ TEST_F(DispatcherTest, CostProbeDoesNotMutateCells) {
     EXPECT_EQ(dispatcher.cell(i).controller().ledger().memory_used_bytes(),
               0.0);
   }
+}
+
+// Under cost_probe the preferred cell holds the lowest-objective admitting
+// probe, so when it rejects every probe rejected: the admission is one
+// placement attempt that commits nothing on any cell.
+TEST_F(DispatcherTest, CostProbeRejectionCommitsNothing) {
+  std::vector<CellSpec> cells{starved_cell("s0"), starved_cell("s1"),
+                              starved_cell("s2")};
+  ClusterDispatcher dispatcher(std::move(cells), instance_.radio, {},
+                               {.policy = PlacementPolicy::kCostProbe});
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const obs::Counter& commits =
+      registry.counter("odn_controller_commits_total");
+  const obs::Counter& attempts =
+      registry.counter("odn_cluster_placement_attempts_total");
+  const std::uint64_t commits_before = commits.value();
+  const std::uint64_t attempts_before = attempts.value();
+
+  const auto outcome =
+      dispatcher.admit(instance_.catalog, named_task(0, "t0"));
+  EXPECT_FALSE(outcome.admitted);
+  EXPECT_EQ(outcome.preferred_cell, 0u);
+  EXPECT_EQ(outcome.cell, kNoCell);
+  EXPECT_EQ(commits.value(), commits_before);
+  EXPECT_EQ(attempts.value(), attempts_before + 1);
+  EXPECT_EQ(dispatcher.total_active(), 0u);
 }
 
 TEST_F(DispatcherTest, ReleaseReturnsOwningCellAndForgets) {

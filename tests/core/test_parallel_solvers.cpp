@@ -1,7 +1,7 @@
 // Seeded differential tests for the parallel solver tier: for every random
 // instance, the pool-parallel OptimalSolver fan-out, the beam-width>1
-// OffloadnnSolver and the controller's parallel plan assembly must produce
-// results BIT-IDENTICAL to the serial escape hatch (set_thread_count(1)).
+// OffloadnnSolver and the controller's plan must produce results
+// BIT-IDENTICAL to the serial escape hatch (set_thread_count(1)).
 // Objectives, per-task decisions, chosen block paths and branch counts are
 // all compared with exact equality — no tolerances.
 #include <gtest/gtest.h>
@@ -12,7 +12,9 @@
 #include "core/controller.h"
 #include "core/offloadnn_solver.h"
 #include "core/optimal_solver.h"
+#include "core/scenarios.h"
 #include "fuzz_instances.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace odn::core {
@@ -137,6 +139,34 @@ TEST_P(ParallelSolvers, ControllerPlanMatchesSerial) {
     EXPECT_EQ(s.expected_latency_s, p.expected_latency_s);
     EXPECT_EQ(s.accuracy, p.accuracy);
   }
+}
+
+// The traversal counters of one OptimalSolver run: without bound pruning
+// the first-layer fan-out visits exactly the vertices and leaves the
+// serial DFS does, so both series must read the same at 1 and 4 threads.
+TEST(ParallelOptimalSolver, TraversalCountersMatchSerialWithoutPruning) {
+  const DotInstance instance = make_small_scenario(5);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const obs::Counter& visited =
+      registry.counter("odn_solver_optimal_vertices_visited_total");
+  const obs::Counter& branches =
+      registry.counter("odn_solver_optimal_branches_explored_total");
+  const auto counts = [&](std::size_t threads) {
+    util::set_thread_count(threads);
+    const std::uint64_t visited_before = visited.value();
+    const std::uint64_t branches_before = branches.value();
+    const DotSolution solution = OptimalSolver{}.solve(instance);
+    util::set_thread_count(0);
+    EXPECT_EQ(branches.value() - branches_before,
+              solution.branches_explored);
+    return std::make_pair(visited.value() - visited_before,
+                          branches.value() - branches_before);
+  };
+  const auto serial = counts(1);
+  const auto parallel = counts(4);
+  EXPECT_GT(serial.first, 0u);
+  EXPECT_EQ(serial.first, parallel.first) << "vertices visited";
+  EXPECT_EQ(serial.second, parallel.second) << "branches explored";
 }
 
 // >= 50 instances, disjoint from the 1000-1030 range the plain fuzz suite

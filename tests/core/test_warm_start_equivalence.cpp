@@ -99,9 +99,10 @@ TEST_F(WarmStartEquivalence, TranscriptInvariantAcrossThreadCounts) {
 // cell, pick the lowest admitted objective (strict <, ties to the lowest
 // index; the first accepting cell when every probe rejects), then call
 // admit_incremental on that cell and on each spillover cell in index
-// order until one admits. The dispatcher must produce the same outcome
-// and leave every cell in the same state, through churn with releases,
-// rejections, spillover walks and a cell that stops accepting.
+// order until one admits. The dispatcher, which commits only an admitting
+// probe and walks no spillover, must produce the same outcome and leave
+// every cell in the same state, through churn with releases, rejections,
+// the reference's spillover walks and a cell that stops accepting.
 class CostProbeHandOff : public ::testing::Test {
  protected:
   void TearDown() override { util::set_thread_count(0); }
@@ -219,7 +220,8 @@ TEST_F(CostProbeHandOff, MatchesReferenceLoopSerial) {
   const Transcripts run = churn(/*parallel_probe=*/false);
   EXPECT_EQ(run.dispatcher, run.reference);
   // Not vacuous: the churn fills cells until admissions fail (so the
-  // spillover walk runs) and spreads admissions over several cells.
+  // reference's spillover walk runs) and spreads admissions over several
+  // cells.
   EXPECT_GT(run.rejections, 0u);
   EXPECT_GE(run.cells_used.size(), 2u);
 }

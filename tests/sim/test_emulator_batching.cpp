@@ -1,7 +1,8 @@
 // Emulator batching: the disabled-is-a-strict-no-op contract, max_batch=1
-// degeneracy (every dispatch carries one request), genuine coalescing
-// under same-path load with the aggregation window, batch accounting
-// conservation, and determinism across thread counts.
+// degeneracy (every dispatch carries one request, exactly as with
+// batching off), genuine coalescing under same-path load with the
+// aggregation window, batch accounting conservation, and determinism
+// across thread counts.
 #include "sim/emulator.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstring>
 
 #include "core/scenarios.h"
+#include "obs/flight.h"
 #include "util/thread_pool.h"
 
 namespace odn::sim {
@@ -65,6 +67,52 @@ TEST(EmulatorBatching, MaxBatchOneDispatchesEveryRequestAlone) {
   EXPECT_EQ(report.batch_dispatches, report.total_requests);
   EXPECT_EQ(report.coalesced_requests, 0u);
   EXPECT_EQ(report.max_batch_observed, 1u);
+}
+
+// Batching off is the batch path with one request per batch: batching on
+// with max_batch = 1 must emulate the same requests at the same times,
+// for deterministic and bursty arrivals alike.
+TEST(EmulatorBatching, MaxBatchOneMatchesBatchingOff) {
+  for (const bool poisson : {false, true}) {
+    SCOPED_TRACE(poisson ? "poisson" : "deterministic");
+    EmulatorOptions off;
+    off.poisson_arrivals = poisson;
+    EmulatorOptions one = off;
+    one.batching.enabled = true;
+    one.batching.max_batch = 1;
+    const EmulationReport a = run_mixed(off);
+    const EmulationReport b = run_mixed(one);
+    ASSERT_GT(a.total_requests, 0u);
+    expect_identical_samples(a, b);
+    EXPECT_EQ(a.total_requests, b.total_requests);
+    EXPECT_EQ(a.gpu_busy_fraction, b.gpu_busy_fraction);
+    for (std::size_t t = 0; t < a.tasks.size(); ++t) {
+      EXPECT_EQ(a.tasks[t].slice_busy_fraction,
+                b.tasks[t].slice_busy_fraction);
+      EXPECT_EQ(a.tasks[t].peak_slice_queue, b.tasks[t].peak_slice_queue);
+    }
+  }
+}
+
+// Batch seals are flight-recorded only when batching is on.
+TEST(EmulatorBatching, DisabledRecordsNoBatchSeals) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  const auto seals = [&](const EmulatorOptions& options) {
+    recorder.reset();
+    recorder.set_enabled(true);
+    (void)run_mixed(options);
+    recorder.set_enabled(false);
+    std::size_t count = 0;
+    for (const obs::FlightEvent& event : recorder.snapshot())
+      if (event.kind == obs::FlightEventKind::kBatchSeal) ++count;
+    recorder.reset();
+    return count;
+  };
+  EmulatorOptions off;
+  EXPECT_EQ(seals(off), 0u);
+  EmulatorOptions on;
+  on.batching.enabled = true;
+  EXPECT_GT(seals(on), 0u);
 }
 
 TEST(EmulatorBatching, CoalescesSamePathRequestsWithinWindow) {
