@@ -55,9 +55,7 @@ void EdgeCell::set_radio_derate(double factor) {
   if (factor <= 0.0 || factor > 1.0)
     throw std::invalid_argument(
         "EdgeCell: radio derate factor outside (0, 1]");
-  radio_derate_ = factor;
-  controller_.set_radio(factor == 1.0 ? base_radio_
-                                      : base_radio_.scaled(factor));
+  controller_.set_radio(base_radio_.scaled(factor));
 }
 
 double EdgeCell::normalized_headroom() const noexcept {

@@ -54,7 +54,6 @@ class EdgeCell {
   const edge::RadioModel& radio() const noexcept {
     return controller_.radio();
   }
-  double radio_derate() const noexcept { return radio_derate_; }
 
   // Fault injection: derates the cell radio by an absolute factor in
   // (0, 1] (1 restores the base model). Applies to future solves only; the
@@ -64,7 +63,6 @@ class EdgeCell {
  private:
   CellSpec spec_;
   edge::RadioModel base_radio_;
-  double radio_derate_ = 1.0;
   core::OffloadnnController controller_;
 };
 

@@ -58,15 +58,17 @@ struct Job {
   std::size_t class_index = 0;
   std::string name;
   std::size_t attempts = 0;
-  // Effective priority and admit-by deadline. Without scheduling (or QoS
-  // annotations) these mirror the template priority and the configured
-  // default, so every pre-sched code path reads identical values.
+  // Effective priority. Without scheduling (or QoS annotations) it mirrors
+  // the template priority, so every pre-sched code path reads identical
+  // values.
   double priority = 0.0;
-  double deadline_s = 0.0;
   Route route = Route::kAdmission;
   // Re-shaped by the ladder's downgrade rung (scheduling only).
   bool sched_downgraded = false;
-  std::size_t cell = kNoCell;  // owning cell while kActive
+  // What the deadline bucket needs beyond "serving now"; its deadline
+  // mirrors the configured default without scheduling or QoS annotations.
+  sched::DeadlineHistory history;
+  std::size_t cell = kNoCell;  // owning cell while kActive, set by serve()
   enum class State : std::uint8_t {
     kPending,   // awaiting an attempt or in retry backoff
     kActive,    // placed, serving
@@ -83,6 +85,18 @@ struct Job {
 // draws stream `epoch`.
 std::uint64_t epoch_seed(std::uint64_t base, std::size_t stream) noexcept {
   return base + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(stream) + 1);
+}
+
+// Adds one job's deadline bucket to an epoch snapshot or the final tally.
+template <typename Buckets>
+void count_bucket(sched::DeadlineBucket bucket, Buckets& buckets) {
+  switch (bucket) {
+    case sched::DeadlineBucket::kMet: ++buckets.met; break;
+    case sched::DeadlineBucket::kMissed: ++buckets.missed; break;
+    case sched::DeadlineBucket::kPreempted: ++buckets.preempted; break;
+    case sched::DeadlineBucket::kDowngraded: ++buckets.downgraded; break;
+    case sched::DeadlineBucket::kRejected: ++buckets.rejected; break;
+  }
 }
 
 // Ladder host over one dispatcher cell. Probes are const dry-runs on that
@@ -222,17 +236,13 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   // against one cell at a time, in the order the dispatcher tried them.
   const bool sched_on = options_.sched.enabled;
   report.sched.enabled = sched_on;
-  sched::DeadlineMonitor deadline_monitor;
 
   // Epoch-boundary batching (model/batching.h).
-  const bool batching_on = options_.batching.enabled;
-  report.batching.enabled = batching_on;
-  if (batching_on) {
-    for (const core::DotTask& tmpl : templates_)
-      for (const core::PathOption& option : tmpl.options)
-        report.batching.probe_scale_min = std::min(
-            report.batching.probe_scale_min, option.compute_scale);
-  }
+  report.batching.enabled = options_.batching.enabled;
+  for (const core::DotTask& tmpl : templates_)
+    for (const core::PathOption& option : tmpl.options)
+      report.batching.probe_scale_min =
+          std::min(report.batching.probe_scale_min, option.compute_scale);
 
   // SLO burn-rate alerting (obs/alerts.h) over the per-class counts of
   // every cell. The engine only sees integer counts from this serial loop,
@@ -287,12 +297,11 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       // job mirrors its template exactly (pre-sched byte identity).
       const bool use_qos = sched_on && event.has_qos;
       job.priority = use_qos ? event.priority : tmpl.spec.priority;
-      job.deadline_s =
+      job.history.arrival_s = event.time_s;
+      job.history.deadline_s =
           use_qos ? event.deadline_s : options_.sched.default_deadline_s;
       job.class_index = class_of(job.priority);
       job.name = util::fmt("job-{}/{}", event.job_id, tmpl.spec.name);
-      if (sched_on)
-        deadline_monitor.track(event.job_id, event.time_s, job.deadline_s);
       job_by_trace_id.emplace(event.job_id, jobs.size());
       calendar.push(LoopEvent{event.time_s, sequence++,
                               LoopEventKind::kArrival, jobs.size()});
@@ -311,21 +320,20 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
                               LoopEventKind::kEpoch, epoch_count++});
   }
 
-  // Active jobs on one cell, in job order.
-  auto jobs_on = [&](std::size_t cell) {
-    std::vector<std::size_t> on;
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-      if (jobs[j].state == Job::State::kActive && jobs[j].cell == cell)
-        on.push_back(j);
-    return on;
+  // Each cell's active jobs, in job order. serve/unserve are the only
+  // places a job gains or loses its cell, so the lists never drift from
+  // Job::cell and per-cell work costs O(active), not O(trace).
+  std::vector<std::vector<std::size_t>> served(cell_count);
+  auto serve = [&](std::size_t j, std::size_t cell) {
+    std::vector<std::size_t>& on = served[cell];
+    on.insert(std::lower_bound(on.begin(), on.end(), j), j);
+    jobs[j].state = Job::State::kActive;
+    jobs[j].cell = cell;
   };
-  // Active jobs grouped by owning cell, each group in job order.
-  auto active_by_cell = [&] {
-    std::vector<std::vector<std::size_t>> by_cell(cell_count);
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-      if (jobs[j].state == Job::State::kActive)
-        by_cell[jobs[j].cell].push_back(j);
-    return by_cell;
+  auto unserve = [&](std::size_t j) {
+    std::vector<std::size_t>& on = served[jobs[j].cell];
+    on.erase(std::lower_bound(on.begin(), on.end(), j));
+    jobs[j].cell = kNoCell;
   };
 
   // No-orphaned-resources conservation: after every ladder application and
@@ -334,13 +342,12 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   // (sched/conservation.h). A violation is an internal invariant break.
   auto check_conservation = [&](const char* where) {
     if (!sched_on) return;
-    const std::vector<std::vector<std::size_t>> by_cell = active_by_cell();
     for (std::size_t i = 0; i < cell_count; ++i) {
-      std::vector<std::pair<std::string, const core::TaskPlan*>> served;
-      for (const std::size_t j : by_cell[i])
-        served.emplace_back(jobs[j].name, &jobs[j].plan);
+      std::vector<std::pair<std::string, const core::TaskPlan*>> plans;
+      for (const std::size_t j : served[i])
+        plans.emplace_back(jobs[j].name, &jobs[j].plan);
       if (const auto violation = sched::find_orphaned_resources(
-              dispatcher_.cell(i).controller(), served, catalog_))
+              dispatcher_.cell(i).controller(), plans, catalog_))
         throw std::logic_error(
             util::fmt("ClusterRuntime: orphaned resources on cell {} {}: {}",
                       i, where, *violation));
@@ -363,8 +370,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           victim.plan = outcome.plan;
           victim.admitted_task = outcome.task;
           victim.sched_downgraded = true;
+          victim.history.ever_downgraded = true;
           ++report.sched.downgrades;
-          deadline_monitor.on_downgraded(victim.trace_id);
           break;
         case sched::VictimOutcome::Fate::kRestored:
           // Rolled back — same spec, freshly solved plan, same cell.
@@ -374,12 +381,12 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         case sched::VictimOutcome::Fate::kPreempted: {
           flight(now, obs::FlightEventKind::kPreemption, victim.trace_id,
                  victim.cell, 0, 0.0, "ladder");
+          unserve(victim_index);
           victim.state = Job::State::kPending;
           victim.route = Route::kSchedReadmission;
           victim.attempts = 0;
-          victim.cell = kNoCell;
+          victim.history.ever_preempted = true;
           ++report.sched.preemptions;
-          deadline_monitor.on_preempted(victim.trace_id);
           const double retry_at = now + options_.retry.retry_delay_s(1);
           if (retry_at > trace.horizon_s) break;  // preempted-pending
           ++report.sched.readmission_retries;
@@ -404,7 +411,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         if (i != preferred && dispatcher_.accepting(i)) order.push_back(i);
     for (const std::size_t cell_index : order) {
       std::vector<sched::SchedCandidate> candidates;
-      for (const std::size_t j : jobs_on(cell_index))
+      for (const std::size_t j : served[cell_index])
         candidates.push_back(sched::SchedCandidate{
             jobs[j].trace_id, jobs[j].priority, jobs[j].admitted_task,
             jobs[j].sched_downgraded});
@@ -449,7 +456,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       // Correlation for flight-recorder timelines; like the name, it never
       // enters the solve.
       task.spec.correlation = job.trace_id;
-      if (sched_on) task.spec.priority = job.priority;
+      task.spec.priority = job.priority;
     } else {
       task = job.admitted_task;  // the shape it was serving at
     }
@@ -472,11 +479,11 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     }
 
     if (placed.cell != kNoCell) {
-      job.state = Job::State::kActive;
+      serve(job_index, placed.cell);
       job.route = Route::kAdmission;
-      job.cell = placed.cell;
       job.plan = std::move(placed.plan);
       job.admitted_task = std::move(task);
+      job.history.admit(now, downgraded);
       switch (route) {
         case Route::kAdmission: {
           runtime::ClassStats& stats = report.classes[job.class_index];
@@ -508,7 +515,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
               case sched::SchedAction::kReject:
                 break;
             }
-            deadline_monitor.on_admitted(job.trace_id, now, downgraded);
             check_conservation("after admission");
           }
           return;
@@ -528,8 +534,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
              downgraded                          ? "downgraded"
              : route == Route::kFaultReadmission ? "fault"
                                                  : "sched");
-      if (sched_on)
-        deadline_monitor.on_readmitted(job.trace_id, now, downgraded);
       return;
     }
 
@@ -551,7 +555,6 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       }
       flight(now, obs::FlightEventKind::kRejection, job.trace_id, kNoCell,
              job.attempts, 0.0, detail);
-      if (sched_on) deadline_monitor.on_rejected(job.trace_id);
       return;
     }
     const double retry_at = now + options_.retry.retry_delay_s(job.attempts);
@@ -583,7 +586,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   // job.priority equals the template priority whenever scheduling (or QoS)
   // is off, so the order is unchanged on pre-sched configurations.
   auto displacement_order = [&](std::size_t cell) {
-    std::vector<std::size_t> order = jobs_on(cell);
+    std::vector<std::size_t> order = served[cell];
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       if (jobs[a].priority != jobs[b].priority)
         return jobs[a].priority > jobs[b].priority;
@@ -601,15 +604,13 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       Job& job = jobs[j];
       flight(now, obs::FlightEventKind::kDisplacement, job.trace_id,
              job.cell);
+      unserve(j);
       job.state = Job::State::kPending;
       job.route = Route::kFaultReadmission;
       job.attempts = 0;
-      job.cell = kNoCell;
+      job.history.ever_preempted = true;
       ++report.faults.displaced;
-      if (sched_on) {
-        ++report.sched.fault_displacements;
-        deadline_monitor.on_preempted(job.trace_id);
-      }
+      if (sched_on) ++report.sched.fault_displacements;
     }
     for (const std::size_t j : order) attempt(j, now);
   };
@@ -693,17 +694,16 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     std::vector<std::uint64_t> epoch_class_samples(class_count, 0);
     std::vector<std::uint64_t> epoch_class_violations(class_count, 0);
 
-    const std::vector<std::vector<std::size_t>> by_cell = active_by_cell();
     for (std::size_t i = 0; i < cell_count; ++i) {
       const EdgeCell& edge_cell = dispatcher_.cell(i);
       ClusterEpochSnapshot::CellSample& sample = snapshot.cells[i];
       sample.deployed_blocks = edge_cell.controller().deployed_blocks().size();
-      snapshot.active_tasks += by_cell[i].size();
-      if (by_cell[i].empty()) continue;
+      snapshot.active_tasks += served[i].size();
+      if (served[i].empty()) continue;
 
       core::DeploymentPlan live;
       std::unordered_map<std::string, std::size_t> class_by_name;
-      for (const std::size_t j : by_cell[i]) {
+      for (const std::size_t j : served[i]) {
         live.tasks.push_back(jobs[j].plan);
         class_by_name.emplace(jobs[j].name, jobs[j].class_index);
       }
@@ -721,12 +721,10 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
                                  edge_cell.resources().compute_capacity_s,
                                  emu_options);
       const sim::EmulationReport measured = emulator.run();
-      if (batching_on) {
-        report.batching.dispatches += measured.batch_dispatches;
-        report.batching.coalesced_requests += measured.coalesced_requests;
-        report.batching.max_batch = std::max(report.batching.max_batch,
-                                             measured.max_batch_observed);
-      }
+      report.batching.dispatches += measured.batch_dispatches;
+      report.batching.coalesced_requests += measured.coalesced_requests;
+      report.batching.max_batch =
+          std::max(report.batching.max_batch, measured.max_batch_observed);
 
       // Latency inflation scales measured samples at accounting time;
       // multiplying by a factor of 1 is exact.
@@ -806,7 +804,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
 
         // Candidates: active jobs at `source`, lowest effective priority
         // first (ties: lower trace id — deterministic).
-        std::vector<std::size_t> candidates = jobs_on(source);
+        std::vector<std::size_t> candidates = served[source];
         std::sort(candidates.begin(), candidates.end(),
                   [&](std::size_t a, std::size_t b) {
                     if (jobs[a].priority != jobs[b].priority)
@@ -842,7 +840,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
                                     target, &migrated_plan)) {
               flight(now, obs::FlightEventKind::kMigration, job.trace_id,
                      target, static_cast<std::uint64_t>(source));
-              job.cell = target;
+              unserve(job_index);
+              serve(job_index, target);
               job.plan = migrated_plan;
               ++report.migration.migrated;
               ++report.cells[source].migrations_out;
@@ -890,10 +889,11 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       case LoopEventKind::kArrival: {
         const Job& job = jobs[event.job];
         ++report.classes[job.class_index].arrivals;
-        // The arrival's value carries the admit-by deadline the monitor
-        // tracks (zero when scheduling is off — no deadline semantics).
+        // The arrival's value carries the admit-by deadline the classifier
+        // judges (zero when scheduling is off — no deadline semantics).
         flight(event.time, obs::FlightEventKind::kArrival, job.trace_id,
-               kNoCell, job.template_index, sched_on ? job.deadline_s : 0.0);
+               kNoCell, job.template_index,
+               sched_on ? job.history.deadline_s : 0.0);
         attempt(event.job, event.time);
         break;
       }
@@ -918,6 +918,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
                 job.name));
           ++report.cells[cell].classes[job.class_index].departures;
           observe_cell(cell);
+          unserve(event.job);
+          job.history.departed_serving = true;
         } else if (job.state == Job::State::kPending) {
           switch (job.route) {
             case Route::kAdmission:
@@ -932,16 +934,27 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           }
         }
         job.state = Job::State::kDeparted;
-        job.cell = kNoCell;
-        if (sched_on) deadline_monitor.on_departed(job.trace_id);
         break;
       }
       case LoopEventKind::kEpoch:
         apply_faults(event.time);
         measure_epoch(event.time, event.job);
         if (sched_on) {
-          report.sched.timeline.push_back(
-              deadline_monitor.snapshot(event.time));
+          // Serving jobs are bucketed by their current trajectory; a job
+          // never admitted and not yet resolved counts as pending (this
+          // includes jobs whose arrival is still ahead).
+          sched::SchedEpochBuckets buckets;
+          buckets.time_s = event.time;
+          for (const Job& job : jobs) {
+            const bool serving = job.state == Job::State::kActive;
+            if (serving) ++buckets.serving;
+            if (!job.history.first_admitted_s &&
+                job.state == Job::State::kPending)
+              ++buckets.pending;
+            else
+              count_bucket(sched::classify(job.history, serving), buckets);
+          }
+          report.sched.timeline.push_back(buckets);
           check_conservation("at epoch boundary");
         }
         break;
@@ -949,6 +962,10 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   }
 
   for (const Job& job : jobs) {
+    if (sched_on)
+      count_bucket(
+          sched::classify(job.history, job.state == Job::State::kActive),
+          report.sched);
     if (job.state == Job::State::kPending) {
       switch (job.route) {
         case Route::kAdmission:
@@ -962,18 +979,14 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           break;
       }
     }
-    if (job.state == Job::State::kActive) {
-      ++report.active_at_end;
-      ++report.cells[job.cell].active_at_end;
-    }
   }
-  for (std::size_t i = 0; i < cell_count; ++i)
+  for (std::size_t i = 0; i < cell_count; ++i) {
+    report.active_at_end += served[i].size();
+    report.cells[i].active_at_end = served[i].size();
     report.cells[i].deployed_blocks_at_end =
         dispatcher_.cell(i).controller().deployed_blocks().size();
-  if (sched_on) {
-    deadline_monitor.finalize(report.sched);
-    check_conservation("at end of run");
   }
+  check_conservation("at end of run");
   if (alert_engine) report.alerts = alert_engine->log();
   // The finished report is the only ledger: the engine's metric series are
   // published from it, once (DESIGN.md §6).

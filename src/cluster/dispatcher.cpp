@@ -272,25 +272,15 @@ void ClusterDispatcher::set_accepting(std::size_t index, bool accepting) {
   accepting_.at(index) = accepting;
 }
 
-std::vector<std::string> ClusterDispatcher::crash_cell(std::size_t index) {
+void ClusterDispatcher::crash_cell(std::size_t index) {
   if (index >= cells_.size())
     throw std::invalid_argument("ClusterDispatcher: crash of unknown cell");
-  std::vector<std::string> displaced;
-  for (const auto& [name, cell] : owner_)
-    if (cell == index) displaced.push_back(name);
-  std::sort(displaced.begin(), displaced.end());
-  for (const std::string& name : displaced) owner_.erase(name);
+  const std::size_t displaced = std::erase_if(
+      owner_, [index](const auto& entry) { return entry.second == index; });
   cells_[index].controller().reset();
   accepting_[index] = false;
   util::log_info("cluster", "cell {} crashed, {} tasks displaced", index,
-                 displaced.size());
-  return displaced;
-}
-
-void ClusterDispatcher::recover_cell(std::size_t index) {
-  if (index >= cells_.size())
-    throw std::invalid_argument("ClusterDispatcher: recover of unknown cell");
-  accepting_[index] = true;
+                 displaced);
 }
 
 void ClusterDispatcher::reset() {

@@ -115,11 +115,8 @@ class ClusterDispatcher {
 
   // Cell crash: wipes the cell's controller state (ledger, deployments),
   // forgets every ownership entry pointing at it and stops accepting.
-  // Returns the names of the displaced tasks in lexicographic order so the
-  // caller can re-place them deterministically. recover_cell re-enables
-  // admission on the (now empty) cell.
-  std::vector<std::string> crash_cell(std::size_t index);
-  void recover_cell(std::size_t index);
+  // set_accepting re-enables admission on the (now empty) cell.
+  void crash_cell(std::size_t index);
 
   // Resets every cell's controller and forgets all ownership.
   void reset();

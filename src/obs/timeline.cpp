@@ -64,7 +64,7 @@ const char* classify_journey(const std::vector<FlightEvent>& steps) {
     }
   }
 
-  // The DeadlineMonitor precedence, re-derived from the journey alone.
+  // The sched::classify precedence, re-derived from the journey alone.
   if (!admitted) return "rejected";
   if (!serving && !departed_serving) return "preempted";
   if (deadline_s > 0.0 && first_admitted_s > arrival_s + deadline_s)

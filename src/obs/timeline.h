@@ -3,10 +3,10 @@
 // Groups the recorder's event stream by task correlation id and emits one
 // ordered journey record per task (arrival → fate). The terminal fate is
 // derived purely from the event sequence — a second, independent
-// implementation of the DeadlineMonitor's bucket precedence — so the
-// sched property tests can cross-check the two classifications against
-// each other (timeline fate == monitor bucket for every complete
-// journey, and the fate histogram == the report's bucket partition).
+// implementation of sched::classify's bucket precedence — so the sched
+// property tests can cross-check the two classifications against each
+// other (timeline fate == classifier bucket for every complete journey,
+// and the fate histogram == the report's bucket partition).
 //
 // A journey is `complete` only when its arrival event survived ring
 // eviction; truncated journeys keep their retained steps but are excluded
@@ -28,12 +28,12 @@ struct TaskTimeline {
   double deadline_s = 0.0;  // 0 = no admit-by deadline annotated
   bool complete = false;    // arrival event retained in the ring
   // One of "rejected", "preempted", "missed", "downgraded", "met" —
-  // static literals, DeadlineMonitor bucket names.
+  // static literals, sched::bucket_name names.
   const char* fate = "rejected";
   std::vector<FlightEvent> steps;  // ordered by seq
 };
 
-// Mirrors DeadlineMonitor::classify over a flight-event journey:
+// Mirrors sched::classify over a flight-event journey:
 //   rejected   — no admission/readmission event
 //   preempted  — evicted and never served again
 //   missed     — first admission after arrival + deadline (deadline > 0)

@@ -1,7 +1,5 @@
 #include "sched/deadline_monitor.h"
 
-#include <stdexcept>
-
 namespace odn::sched {
 
 const char* bucket_name(DeadlineBucket bucket) noexcept {
@@ -15,118 +13,16 @@ const char* bucket_name(DeadlineBucket bucket) noexcept {
   return "unknown";
 }
 
-void DeadlineMonitor::track(std::uint64_t job, double arrival_s,
-                            double deadline_s) {
-  Entry e;
-  e.arrival_s = arrival_s;
-  e.deadline_s = deadline_s;
-  if (!entries_.emplace(job, e).second)
-    throw std::logic_error("DeadlineMonitor: job tracked twice");
-}
-
-DeadlineMonitor::Entry& DeadlineMonitor::entry(std::uint64_t job) {
-  const auto it = entries_.find(job);
-  if (it == entries_.end())
-    throw std::logic_error("DeadlineMonitor: untracked job");
-  return it->second;
-}
-
-const DeadlineMonitor::Entry& DeadlineMonitor::entry(
-    std::uint64_t job) const {
-  const auto it = entries_.find(job);
-  if (it == entries_.end())
-    throw std::logic_error("DeadlineMonitor: untracked job");
-  return it->second;
-}
-
-void DeadlineMonitor::on_admitted(std::uint64_t job, double now,
-                                  bool downgraded) {
-  Entry& e = entry(job);
-  if (!e.admitted) {
-    e.admitted = true;
-    e.first_admitted_s = now;
-  }
-  e.serving = true;
-  if (downgraded) e.ever_downgraded = true;
-}
-
-void DeadlineMonitor::on_downgraded(std::uint64_t job) {
-  entry(job).ever_downgraded = true;
-}
-
-void DeadlineMonitor::on_preempted(std::uint64_t job) {
-  Entry& e = entry(job);
-  e.serving = false;
-  e.ever_preempted = true;
-}
-
-void DeadlineMonitor::on_readmitted(std::uint64_t job, double now,
-                                    bool downgraded) {
-  on_admitted(job, now, downgraded);
-}
-
-void DeadlineMonitor::on_rejected(std::uint64_t job) {
-  Entry& e = entry(job);
-  e.rejected_final = true;
-  e.serving = false;
-}
-
-void DeadlineMonitor::on_departed(std::uint64_t job) {
-  Entry& e = entry(job);
-  e.departed = true;
-  if (e.serving) {
-    e.departed_serving = true;
-    e.serving = false;
-  }
-}
-
-DeadlineBucket DeadlineMonitor::classify(const Entry& e) {
-  if (!e.admitted) return DeadlineBucket::kRejected;
-  if (!e.serving && !e.departed_serving) return DeadlineBucket::kPreempted;
-  if (e.deadline_s > 0.0 &&
-      e.first_admitted_s > e.arrival_s + e.deadline_s)
+DeadlineBucket classify(const DeadlineHistory& history,
+                        bool serving) noexcept {
+  if (!history.first_admitted_s) return DeadlineBucket::kRejected;
+  if (!serving && !history.departed_serving) return DeadlineBucket::kPreempted;
+  if (history.deadline_s > 0.0 &&
+      *history.first_admitted_s > history.arrival_s + history.deadline_s)
     return DeadlineBucket::kMissed;
-  if (e.ever_downgraded || e.ever_preempted)
+  if (history.ever_downgraded || history.ever_preempted)
     return DeadlineBucket::kDowngraded;
   return DeadlineBucket::kMet;
-}
-
-DeadlineBucket DeadlineMonitor::bucket(std::uint64_t job) const {
-  return classify(entry(job));
-}
-
-SchedEpochBuckets DeadlineMonitor::snapshot(double now) const {
-  SchedEpochBuckets s;
-  s.time_s = now;
-  for (const auto& [job, e] : entries_) {
-    (void)job;
-    if (e.serving) ++s.serving;
-    if (!e.admitted && !e.rejected_final && !e.departed) {
-      ++s.pending;  // still awaiting first admission — no bucket yet
-      continue;
-    }
-    switch (classify(e)) {
-      case DeadlineBucket::kMet: ++s.met; break;
-      case DeadlineBucket::kMissed: ++s.missed; break;
-      case DeadlineBucket::kPreempted: ++s.preempted; break;
-      case DeadlineBucket::kDowngraded: ++s.downgraded; break;
-      case DeadlineBucket::kRejected: ++s.rejected; break;
-    }
-  }
-  return s;
-}
-
-void DeadlineMonitor::finalize(SchedStats& stats) const {
-  for (const auto& [job, e] : entries_) {
-    (void)job;
-    switch (classify(e)) {
-      case DeadlineBucket::kMet: ++stats.met; break;
-      case DeadlineBucket::kMissed: ++stats.missed; break;
-      case DeadlineBucket::kPreempted: ++stats.preempted; break;
-      case DeadlineBucket::kDowngraded: ++stats.downgraded; break;
-      case DeadlineBucket::kRejected: ++stats.rejected; break;
-    }
-  }
 }
 
 }  // namespace odn::sched

@@ -1,5 +1,5 @@
-// The deadline monitor: classifies every arriving job into exactly one SLO
-// bucket from the events the runtime already processes serially.
+// The deadline classifier: assigns every arriving job exactly one SLO
+// bucket from the history the serving engine keeps on the job itself.
 //
 // Bucket precedence (first match wins):
 //   rejected   — never served at all (final rejection, departed before
@@ -10,16 +10,13 @@
 //                at some point, or evicted and later readmitted
 //   met        — served within deadline at the requested shape throughout
 //
-// Because the precedence is total and every tracked job matches one rung,
+// Because the precedence is total and every job matches one rung,
 //   met + missed + preempted + downgraded + rejected == arrivals
 // holds by construction (the property test pins it across seeds).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-
-#include "sched/sched_stats.h"
+#include <optional>
 
 namespace odn::sched {
 
@@ -36,58 +33,28 @@ enum class DeadlineBucket : std::uint8_t {
 // (obs::classify_journey); the sched property tests cross-check the two.
 const char* bucket_name(DeadlineBucket bucket) noexcept;
 
-class DeadlineMonitor {
- public:
-  // Registers an arrival. `deadline_s` is the admit-by deadline relative
-  // to `arrival_s` (from the trace's QoS annotation or the configured
-  // default).
-  void track(std::uint64_t job, double arrival_s, double deadline_s);
+// What a job's bucket depends on beyond whether it is serving right now.
+struct DeadlineHistory {
+  double arrival_s = 0.0;
+  // Admit-by deadline relative to arrival_s (the trace's QoS annotation
+  // or the configured default); 0 means no deadline.
+  double deadline_s = 0.0;
+  std::optional<double> first_admitted_s;  // set by the first admission
+  bool ever_preempted = false;    // evicted by the ladder or a fault
+  bool ever_downgraded = false;   // re-shaped, or admitted at reduced shape
+  bool departed_serving = false;  // the departure fired while serving
 
-  // First (or repeat) admission at `now`. `downgraded` marks admissions at
-  // a reduced shape (the retry policy's final-attempt downgrade).
-  void on_admitted(std::uint64_t job, double now, bool downgraded);
-  // The ladder re-shaped this served job to a cheaper (z, r).
-  void on_downgraded(std::uint64_t job);
-  // Evicted — by the ladder or by a fault displacement.
-  void on_preempted(std::uint64_t job);
-  // Back in service after an eviction. `downgraded` as in on_admitted.
-  void on_readmitted(std::uint64_t job, double now, bool downgraded);
-  // Admission or readmission attempts exhausted.
-  void on_rejected(std::uint64_t job);
-  // The job's departure event fired (serving or not).
-  void on_departed(std::uint64_t job);
-
-  // Classification of one tracked job in its current state.
-  DeadlineBucket bucket(std::uint64_t job) const;
-
-  // Epoch-boundary classification of every tracked job (see
-  // SchedEpochBuckets for the serving/pending split).
-  SchedEpochBuckets snapshot(double now) const;
-
-  // End-of-run: adds every job's final bucket to `stats`.
-  void finalize(SchedStats& stats) const;
-
-  std::size_t tracked() const noexcept { return entries_.size(); }
-
- private:
-  struct Entry {
-    double arrival_s = 0.0;
-    double deadline_s = 0.0;
-    bool admitted = false;          // ever served
-    double first_admitted_s = 0.0;
-    bool serving = false;           // served right now
-    bool departed_serving = false;  // departure fired while serving
-    bool ever_preempted = false;
-    bool ever_downgraded = false;
-    bool departed = false;
-    bool rejected_final = false;
-  };
-
-  Entry& entry(std::uint64_t job);
-  const Entry& entry(std::uint64_t job) const;
-  static DeadlineBucket classify(const Entry& e);
-
-  std::unordered_map<std::uint64_t, Entry> entries_;
+  // An admission or readmission at `now`; `downgraded` marks a reduced
+  // shape (the retry policy's final-attempt downgrade). Only the first
+  // admission instant is kept.
+  void admit(double now, bool downgraded) {
+    if (!first_admitted_s) first_admitted_s = now;
+    if (downgraded) ever_downgraded = true;
+  }
 };
+
+// The job's bucket in its current state. A serving job lands in the bucket
+// it would keep if it departed now.
+DeadlineBucket classify(const DeadlineHistory& history, bool serving) noexcept;
 
 }  // namespace odn::sched

@@ -3,8 +3,8 @@
 // The scheduler sits between the workload and the controller/dispatcher:
 // per arrival it runs a preemption ladder (admit as-is → accuracy-downgrade
 // cheaper-priority victims → preempt → reject) driven entirely by
-// probe_incremental dry-runs, and a deadline monitor classifies every job
-// into an SLO bucket at epoch boundaries. Disabled by default: with
+// probe_incremental dry-runs, and the deadline classifier (sched::classify)
+// buckets every job by SLO outcome at epoch boundaries. Disabled by default: with
 // `enabled == false` the serving engine takes the exact pre-sched code path
 // and its reports stay byte-identical.
 #pragma once
@@ -17,8 +17,8 @@ struct SchedOptions {
   bool enabled = false;
 
   // Ladder rungs. Disabling one skips it; with both off the ladder
-  // degenerates to plain admit-or-reject (but the deadline monitor still
-  // runs).
+  // degenerates to plain admit-or-reject (but jobs are still classified
+  // into deadline buckets).
   bool allow_downgrade = true;
   bool allow_preempt = true;
 

@@ -45,20 +45,6 @@ void upsert(std::vector<VictimOutcome>& outcomes, VictimOutcome outcome) {
 
 }  // namespace
 
-const char* sched_action_name(SchedAction action) noexcept {
-  switch (action) {
-    case SchedAction::kAdmit:
-      return "admit";
-    case SchedAction::kDowngrade:
-      return "downgrade";
-    case SchedAction::kPreempt:
-      return "preempt";
-    case SchedAction::kReject:
-      return "reject";
-  }
-  return "unknown";
-}
-
 core::DotTask downgrade_spec(core::DotTask task, double factor) {
   task.spec.min_accuracy *= factor;
   return task;

@@ -104,7 +104,6 @@ enum class SchedAction : std::uint8_t {
   kPreempt,    // fit after evicting victims
   kReject,     // no rung fit
 };
-const char* sched_action_name(SchedAction action) noexcept;
 
 // What happened to one candidate. Even on kReject the caller must apply
 // these: a rolled-back victim serves under a freshly solved plan

@@ -21,9 +21,13 @@
 
 namespace odn::sched {
 
-// Epoch-boundary classification of every tracked job. Serving jobs are
-// bucketed by their current trajectory (the bucket they would land in if
-// they departed now); jobs still awaiting first admission count as pending.
+// Epoch-boundary classification (sched::classify) of every job of the
+// trace. Serving jobs are bucketed by their current trajectory (the bucket
+// they would land in if they departed now); jobs never admitted and not yet
+// resolved count as pending. Pending therefore also counts jobs whose
+// arrival is still ahead of the epoch: the engine builds its job table from
+// the whole trace up front. Counting only arrived jobs would move the sched
+// goldens and the benchmark's pinned report digest.
 struct SchedEpochBuckets {
   double time_s = 0.0;
   std::size_t met = 0;
@@ -56,7 +60,8 @@ struct SchedStats {
   std::size_t readmission_retries = 0;     // backoff retries scheduled
   std::size_t fault_displacements = 0;     // preempted by faults, not ladder
 
-  // Final SLO buckets (DeadlineMonitor::finalize). Exactly one per arrival.
+  // Final SLO buckets (sched::classify at the end of the run). Exactly one
+  // per arrival.
   std::size_t met = 0;
   std::size_t missed = 0;      // first admission landed past the deadline
   std::size_t preempted = 0;   // evicted and never served again

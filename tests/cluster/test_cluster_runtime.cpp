@@ -10,6 +10,7 @@
 
 #include "cluster/cluster_runtime.h"
 #include "core/scenarios.h"
+#include "fault/fault_plan.h"
 #include "runtime/serving_runtime.h"
 #include "runtime/workload.h"
 #include "util/thread_pool.h"
@@ -221,6 +222,66 @@ TEST(ClusterRuntime, FullDepartureReturnsEveryCellToZero) {
     EXPECT_EQ(report.cells[i].active_at_end, 0u);
     EXPECT_EQ(report.cells[i].deployed_blocks_at_end, 0u);
   }
+}
+
+// The engine's per-cell served lists against two independent counts: the
+// sched snapshot's serving count walks every job's state, and the cell
+// controllers keep their own books. Ladder evictions, fault displacement
+// and migration all move jobs between lists on the way.
+TEST(ClusterRuntime, ServedListsMatchIndependentCounts) {
+  runtime::WorkloadOptions workload;
+  workload.horizon_s = 40.0;
+  workload.seed = 3;
+  workload.arrival_rate_per_s = 1.4;
+  workload.mean_holding_s = 12.0;
+  workload.qos.enabled = true;
+  workload.qos.deadline_tightness = 0.8;
+  const runtime::WorkloadTrace trace = runtime::generate_workload(5, workload);
+
+  std::size_t preemptions = 0;
+  std::size_t displaced = 0;
+  std::size_t migrated = 0;
+  for (const std::size_t cells : {1u, 3u}) {
+    for (const std::uint64_t fault_seed : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << cells << " cells, fault seed " << fault_seed);
+      ClusterOptions options;
+      options.epoch_s = 5.0;
+      options.retry.max_attempts = 3;
+      options.retry.backoff_s = 1.0;
+      options.sched.enabled = true;
+      options.migration_batch = 3;
+      fault::FaultPlanOptions faults;
+      faults.horizon_s = workload.horizon_s;
+      faults.seed = fault_seed;
+      faults.mean_outage_s = 6.0;
+      options.faults = fault::generate_fault_plan(cells, faults);
+      ClusterRuntime cluster = small_cluster(cells, options);
+      const ClusterReport report = cluster.run(trace);
+
+      ASSERT_EQ(report.sched.timeline.size(), report.timeline.size());
+      ASSERT_GT(report.timeline.size(), 0u);
+      for (std::size_t e = 0; e < report.timeline.size(); ++e)
+        EXPECT_EQ(report.sched.timeline[e].serving,
+                  report.timeline[e].active_tasks)
+            << "epoch " << e;
+      std::size_t active = 0;
+      for (std::size_t i = 0; i < cells; ++i) {
+        EXPECT_EQ(report.cells[i].active_at_end,
+                  cluster.dispatcher().cell(i).controller().active_tasks().size())
+            << "cell " << i;
+        active += report.cells[i].active_at_end;
+      }
+      EXPECT_EQ(active, report.active_at_end);
+      preemptions += report.sched.preemptions;
+      displaced += report.faults.displaced;
+      migrated += report.migration.migrated;
+    }
+  }
+  // Every path that moves a job between lists must have run.
+  EXPECT_GT(preemptions, 0u);
+  EXPECT_GT(displaced, 0u);
+  EXPECT_GT(migrated, 0u);
 }
 
 TEST(ClusterRuntime, DeterministicAcrossThreadCountsAllPolicies) {

@@ -1,5 +1,5 @@
 // Task timelines: journey classification is a second, independent
-// implementation of the DeadlineMonitor's bucket precedence — the
+// implementation of the deadline classifier's bucket precedence — the
 // scripted suites drive both over equivalent histories and demand equal
 // answers, and the property test runs full sched-on serving runs over
 // several seeds, cross-checking every complete journey's fate histogram
@@ -114,82 +114,86 @@ TEST(ClassifyJourney, TerminalFatesMatchBucketPrecedence) {
                "downgraded");
 }
 
-// Differential: drive a real DeadlineMonitor and classify_journey over
-// the same scripted histories; the two independent implementations must
-// agree on every one.
+// Differential: build the engine's deadline history and the equivalent
+// flight journey for the same scripted lives; sched::classify and
+// classify_journey are independent implementations and must agree on
+// every one.
 TEST(ClassifyJourney, AgreesWithDeadlineMonitorOnScriptedHistories) {
   struct Script {
     const char* name;
-    // Monitor calls and the equivalent flight journey.
-    void (*drive)(sched::DeadlineMonitor&);
+    // Writes the history the engine would keep; returns whether the job
+    // is serving at the end.
+    bool (*drive)(sched::DeadlineHistory&);
     std::vector<FlightEvent> journey;
   };
   const double kDeadline = 4.0;
   const std::vector<Script> scripts = {
-      {"never admitted",
-       [](sched::DeadlineMonitor& m) { m.track(1, 0.0, 4.0); },
+      {"never admitted", [](sched::DeadlineHistory&) { return false; },
        {arrival(0.0, kDeadline)}},
       {"clean service",
-       [](sched::DeadlineMonitor& m) {
-         m.track(1, 0.0, 4.0);
-         m.on_admitted(1, 1.0, false);
-         m.on_departed(1);
+       [](sched::DeadlineHistory& h) {
+         h.admit(1.0, false);
+         h.departed_serving = true;
+         return false;
        },
        {arrival(0.0, kDeadline), step(1.0, FlightEventKind::kAdmission),
         step(8.0, FlightEventKind::kDeparture, "serving")}},
       {"late admission",
-       [](sched::DeadlineMonitor& m) {
-         m.track(1, 0.0, 4.0);
-         m.on_admitted(1, 6.0, false);
-         m.on_departed(1);
+       [](sched::DeadlineHistory& h) {
+         h.admit(6.0, false);
+         h.departed_serving = true;
+         return false;
        },
        {arrival(0.0, kDeadline), step(6.0, FlightEventKind::kAdmission),
         step(8.0, FlightEventKind::kDeparture, "serving")}},
       {"downgraded final attempt",
-       [](sched::DeadlineMonitor& m) {
-         m.track(1, 0.0, 4.0);
-         m.on_admitted(1, 1.0, true);
-         m.on_departed(1);
+       [](sched::DeadlineHistory& h) {
+         h.admit(1.0, true);
+         h.departed_serving = true;
+         return false;
        },
        {arrival(0.0, kDeadline),
         step(1.0, FlightEventKind::kAdmission, "downgraded"),
         step(8.0, FlightEventKind::kDeparture, "serving")}},
       {"evicted for good",
-       [](sched::DeadlineMonitor& m) {
-         m.track(1, 0.0, 4.0);
-         m.on_admitted(1, 1.0, false);
-         m.on_preempted(1);
-         m.on_rejected(1);
+       [](sched::DeadlineHistory& h) {
+         h.admit(1.0, false);
+         h.ever_preempted = true;
+         return false;
        },
        {arrival(0.0, kDeadline), step(1.0, FlightEventKind::kAdmission),
         step(2.0, FlightEventKind::kPreemption, "ladder"),
         step(3.0, FlightEventKind::kRejection, "sched_exhausted")}},
       {"evicted then readmitted",
-       [](sched::DeadlineMonitor& m) {
-         m.track(1, 0.0, 4.0);
-         m.on_admitted(1, 1.0, false);
-         m.on_preempted(1);
-         m.on_readmitted(1, 3.0, false);
-         m.on_departed(1);
+       [](sched::DeadlineHistory& h) {
+         h.admit(1.0, false);
+         h.ever_preempted = true;
+         h.admit(3.0, false);
+         h.departed_serving = true;
+         return false;
        },
        {arrival(0.0, kDeadline), step(1.0, FlightEventKind::kAdmission),
         step(2.0, FlightEventKind::kPreemption, "ladder"),
         step(3.0, FlightEventKind::kReadmission, "sched"),
         step(8.0, FlightEventKind::kDeparture, "serving")}},
-      {"departed while pending",
-       [](sched::DeadlineMonitor& m) {
-         m.track(1, 0.0, 4.0);
-         m.on_departed(1);
+      {"serving at the horizon",
+       [](sched::DeadlineHistory& h) {
+         h.admit(1.0, false);
+         return true;
        },
+       {arrival(0.0, kDeadline), step(1.0, FlightEventKind::kAdmission)}},
+      {"departed while pending", [](sched::DeadlineHistory&) { return false; },
        {arrival(0.0, kDeadline),
         step(2.0, FlightEventKind::kDeparture, "pending")}},
   };
 
   for (const Script& script : scripts) {
-    sched::DeadlineMonitor monitor;
-    script.drive(monitor);
+    sched::DeadlineHistory history;
+    history.arrival_s = 0.0;
+    history.deadline_s = kDeadline;
+    const bool serving = script.drive(history);
     EXPECT_STREQ(classify_journey(script.journey),
-                 sched::bucket_name(monitor.bucket(1)))
+                 sched::bucket_name(sched::classify(history, serving)))
         << "history: " << script.name;
   }
 }
@@ -237,7 +241,7 @@ TEST(BuildTimelines, GroupsByTaskAndFlagsTruncation) {
 
 // The §11 acceptance property: for a full sched-on serving run, every
 // emitted timeline is complete and the fate histogram equals the
-// DeadlineMonitor's bucket partition in the report — over several seeds,
+// classifier's bucket partition in the report — over several seeds,
 // with and without faults in the workload shape. `race` labelled so the
 // TSan tree runs it against the pool.
 TEST(TimelineProperty, FateHistogramMatchesMonitorPartitionOverSeeds) {

@@ -120,7 +120,7 @@ TEST(SchedFaultServing, CrashMidPreemptionEpochKeepsBothLedgersBalanced) {
   expect_fault_conservation(report.faults);
   expect_sched_conservation(report.sched, report.total_arrivals());
   // Every fault displacement is mirrored into the sched accounting (the
-  // deadline monitor sees the eviction), and only those — ladder
+  // deadline history records the eviction), and only those — ladder
   // preemptions are counted separately.
   EXPECT_EQ(report.sched.fault_displacements, report.faults.displaced);
 
