@@ -287,6 +287,13 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       calendar;
   std::uint64_t sequence = 0;
 
+  const auto arrivals = static_cast<std::size_t>(std::count_if(
+      trace.events.begin(), trace.events.end(),
+      [](const runtime::WorkloadEvent& event) {
+        return event.kind == runtime::WorkloadEventKind::kArrival;
+      }));
+  jobs.reserve(arrivals);
+  job_by_trace_id.reserve(arrivals);
   for (const runtime::WorkloadEvent& event : trace.events) {
     if (event.kind == runtime::WorkloadEventKind::kArrival) {
       Job job;
@@ -340,14 +347,16 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   // at each epoch boundary, every cell's ledger and deployed blocks must
   // re-derive exactly from the plans it currently serves
   // (sched/conservation.h). A violation is an internal invariant break.
+  // The book borrows the job names and is reused across checks.
+  std::vector<sched::ServedTask> book;
   auto check_conservation = [&](const char* where) {
     if (!sched_on) return;
     for (std::size_t i = 0; i < cell_count; ++i) {
-      std::vector<std::pair<std::string, const core::TaskPlan*>> plans;
+      book.clear();
       for (const std::size_t j : served[i])
-        plans.emplace_back(jobs[j].name, &jobs[j].plan);
+        book.push_back(sched::ServedTask{jobs[j].name, &jobs[j].plan});
       if (const auto violation = sched::find_orphaned_resources(
-              dispatcher_.cell(i).controller(), plans, catalog_))
+              dispatcher_.cell(i).controller(), book, catalog_))
         throw std::logic_error(
             util::fmt("ClusterRuntime: orphaned resources on cell {} {}: {}",
                       i, where, *violation));
@@ -402,7 +411,9 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   // cells in the order the dispatcher tried them (preferred first, then
   // accepting siblings when spillover is on) and let rungs 2-4 downgrade
   // or evict lower-priority jobs served there. Cells serving nothing are
-  // skipped: the plain rejection already was their whole ladder.
+  // skipped: the plain rejection already was their whole ladder. The
+  // candidates borrow the jobs' served specs; nothing in the ladder
+  // touches the job table, so they stay valid until it returns.
   auto run_ladder = [&](const core::DotTask& task, std::size_t preferred,
                         double now) {
     std::vector<std::size_t> order{preferred};
@@ -411,6 +422,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         if (i != preferred && dispatcher_.accepting(i)) order.push_back(i);
     for (const std::size_t cell_index : order) {
       std::vector<sched::SchedCandidate> candidates;
+      candidates.reserve(served[cell_index].size());
       for (const std::size_t j : served[cell_index])
         candidates.push_back(sched::SchedCandidate{
             jobs[j].trace_id, jobs[j].priority, jobs[j].admitted_task,
@@ -880,6 +892,14 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     ++report.epochs;
   };
 
+  // The sched epoch snapshot's job walk. A departed or rejected job never
+  // changes bucket, so the first epoch that finds it settled classifies it
+  // once into `settled`; each epoch then walks only the arrived, unsettled
+  // jobs, and counts the jobs yet to arrive as pending.
+  sched::SchedEpochBuckets settled;
+  std::vector<std::size_t> unsettled;  // arrived jobs, in arrival order
+  std::size_t arrived = 0;
+
   while (!calendar.empty()) {
     const LoopEvent event = calendar.top();
     calendar.pop();
@@ -889,6 +909,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       case LoopEventKind::kArrival: {
         const Job& job = jobs[event.job];
         ++report.classes[job.class_index].arrivals;
+        ++arrived;
+        if (sched_on) unsettled.push_back(event.job);
         // The arrival's value carries the admit-by deadline the classifier
         // judges (zero when scheduling is off — no deadline semantics).
         flight(event.time, obs::FlightEventKind::kArrival, job.trace_id,
@@ -943,9 +965,21 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           // Serving jobs are bucketed by their current trajectory; a job
           // never admitted and not yet resolved counts as pending (this
           // includes jobs whose arrival is still ahead).
-          sched::SchedEpochBuckets buckets;
+          std::size_t kept = 0;
+          for (const std::size_t j : unsettled) {
+            const Job& job = jobs[j];
+            if (job.state == Job::State::kDeparted ||
+                job.state == Job::State::kRejected)
+              count_bucket(sched::classify(job.history, false), settled);
+            else
+              unsettled[kept++] = j;
+          }
+          unsettled.resize(kept);
+          sched::SchedEpochBuckets buckets = settled;
           buckets.time_s = event.time;
-          for (const Job& job : jobs) {
+          buckets.pending = jobs.size() - arrived;
+          for (const std::size_t j : unsettled) {
+            const Job& job = jobs[j];
             const bool serving = job.state == Job::State::kActive;
             if (serving) ++buckets.serving;
             if (!job.history.first_admitted_s &&

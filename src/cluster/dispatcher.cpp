@@ -65,7 +65,8 @@ std::vector<core::DeploymentPlan> ClusterDispatcher::probe_cells(
     // without probing; the mask only changes on the serial event loop, so
     // the skip is identical for any thread count.
     if (!accepting_[i]) return;
-    probes[i] = cells_[i].controller().probe_incremental(catalog, {task});
+    probes[i] = cells_[i].controller().probe_incremental(
+        catalog, core::single_request(task));
     if (admits_one(probes[i]))
       metrics.probe_admits.inc();
     else
@@ -178,7 +179,7 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
     // admits: a rejecting plan would change nothing but the ledger stamp.
     core::DeploymentPlan plan;
     if (probes.empty()) {
-      plan = controller.admit_incremental(catalog, {task});
+      plan = controller.admit_incremental(catalog, core::single_request(task));
     } else {
       plan = std::move(probes[index]);
       if (admits_one(plan)) controller.commit(plan, catalog);
@@ -252,7 +253,8 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
   // is committed — a positive probe guarantees the task lands and is
   // never left without a cell.
   core::OffloadnnController& destination = cells_[target].controller();
-  core::DeploymentPlan plan = destination.probe_incremental(catalog, {task});
+  core::DeploymentPlan plan =
+      destination.probe_incremental(catalog, core::single_request(task));
   if (!admits_one(plan)) return false;
 
   if (!cells_[source].controller().release(task_name))

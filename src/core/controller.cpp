@@ -123,6 +123,13 @@ std::vector<std::string> OffloadnnController::active_tasks() const {
   return names;
 }
 
+std::vector<std::string_view> OffloadnnController::active_names() const {
+  std::vector<std::string_view> names;
+  names.reserve(active_.size());
+  for (const TaskCommitment& task : active_) names.push_back(task.name);
+  return names;
+}
+
 DeploymentPlan OffloadnnController::admit(const edge::DnnCatalog& catalog,
                                           std::vector<DotTask> requests) {
   reset();

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/offloadnn_solver.h"
@@ -59,6 +60,12 @@ struct DeploymentPlan {
   const OffloadnnController* planned_by = nullptr;
   std::uint32_t planned_at = 0;
 };
+
+// A one-task request set. `{task}` would copy the task twice, into an
+// initializer_list and again into the vector; this copies it once.
+inline std::vector<DotTask> single_request(const DotTask& task) {
+  return std::vector<DotTask>(1, task);
+}
 
 class OffloadnnController {
  public:
@@ -115,6 +122,10 @@ class OffloadnnController {
 
   // Names of the currently active (admitted, not released) tasks.
   std::vector<std::string> active_tasks() const;
+  // The same names, in the same (admission) order, as views into the
+  // controller instead of copies; valid until its next commit, release or
+  // reset.
+  std::vector<std::string_view> active_names() const;
 
   // Swaps the radio model used by future solves (fault injection: a
   // degraded or restored cell radio). Existing commitments are untouched —

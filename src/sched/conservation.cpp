@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/json.h"
 #include "util/fmt.h"
@@ -14,10 +12,11 @@ DerivedCommitment derive_commitment(
     const std::vector<const core::TaskPlan*>& plans,
     const edge::DnnCatalog& catalog) {
   // Mirrors OffloadnnController::commit + rebuild_ledger term for term:
-  // same per-task products, same accumulation order, same first-insert
+  // same per-task products, same accumulation order, same first-appearance
   // memory accounting — so equal inputs produce bit-identical sums.
   DerivedCommitment derived;
-  std::unordered_set<edge::BlockIndex> blocks;
+  // counted[b]: block b's memory is already in the sum.
+  std::vector<char> counted(catalog.block_count(), 0);
   for (const core::TaskPlan* plan : plans) {
     // The products must round to double *before* the adds, exactly like
     // the controller's stored TaskCommitment fields — an FMA-contracted
@@ -29,11 +28,15 @@ DerivedCommitment derive_commitment(
         plan->admission_ratio * static_cast<double>(plan->slice_rbs);
     derived.compute_s += compute_s;
     derived.shared_rbs += shared_rbs;
-    for (const edge::BlockIndex b : plan->blocks)
-      if (blocks.insert(b).second)
-        derived.memory_bytes += catalog.block(b).memory_bytes;
+    for (const edge::BlockIndex b : plan->blocks) {
+      // block() checks b against the catalog before counted[b] reads it.
+      const double memory_bytes = catalog.block(b).memory_bytes;
+      if (counted[b]) continue;
+      counted[b] = 1;
+      derived.memory_bytes += memory_bytes;
+      derived.deployed_blocks.push_back(b);
+    }
   }
-  derived.deployed_blocks.assign(blocks.begin(), blocks.end());
   std::sort(derived.deployed_blocks.begin(), derived.deployed_blocks.end());
   derived.rbs =
       static_cast<std::size_t>(std::ceil(derived.shared_rbs - 1e-9));
@@ -42,28 +45,37 @@ DerivedCommitment derive_commitment(
 
 std::optional<std::string> find_orphaned_resources(
     const core::OffloadnnController& controller,
-    const std::vector<std::pair<std::string, const core::TaskPlan*>>& served,
-    const edge::DnnCatalog& catalog) {
-  std::unordered_map<std::string, const core::TaskPlan*> by_name;
-  for (const auto& [name, plan] : served) {
-    if (!by_name.emplace(name, plan).second)
-      return util::fmt("task '{}' served twice in the caller's book", name);
-  }
+    std::vector<ServedTask>& served, const edge::DnnCatalog& catalog) {
+  const auto by_name = [](const ServedTask& a, const ServedTask& b) {
+    return a.name < b.name;
+  };
+  std::sort(served.begin(), served.end(), by_name);
+  const auto twice = std::adjacent_find(
+      served.begin(), served.end(),
+      [](const ServedTask& a, const ServedTask& b) {
+        return a.name == b.name;
+      });
+  if (twice != served.end())
+    return util::fmt("task '{}' served twice in the caller's book",
+                     twice->name);
 
-  const std::vector<std::string> active = controller.active_tasks();
-  if (active.size() != by_name.size())
+  const std::vector<std::string_view> active = controller.active_names();
+  if (active.size() != served.size())
     return util::fmt(
         "controller serves {} tasks but the caller's book has {}",
-        active.size(), by_name.size());
-  // Sizes match and active names are unique, so one direction suffices.
+        active.size(), served.size());
+  // Sizes match and both sides' names are unique, so finding every active
+  // name in the book pairs them one to one. The plans follow the active
+  // (insertion) order, which the derivation's sums must replay.
   std::vector<const core::TaskPlan*> plans;
   plans.reserve(active.size());
-  for (const std::string& name : active) {
-    const auto it = by_name.find(name);
-    if (it == by_name.end())
+  for (const std::string_view name : active) {
+    const auto it = std::lower_bound(served.begin(), served.end(),
+                                     ServedTask{name, nullptr}, by_name);
+    if (it == served.end() || it->name != name)
       return util::fmt(
           "controller serves task '{}' the caller's book does not", name);
-    plans.push_back(it->second);
+    plans.push_back(it->plan);
   }
 
   const DerivedCommitment derived = derive_commitment(plans, catalog);
@@ -88,6 +100,17 @@ std::optional<std::string> find_orphaned_resources(
         "re-derive {}",
         controller.deployed_blocks().size(), derived.deployed_blocks.size());
   return std::nullopt;
+}
+
+std::optional<std::string> find_orphaned_resources(
+    const core::OffloadnnController& controller,
+    const std::vector<std::pair<std::string, const core::TaskPlan*>>& served,
+    const edge::DnnCatalog& catalog) {
+  std::vector<ServedTask> book;
+  book.reserve(served.size());
+  for (const auto& [name, plan] : served)
+    book.push_back(ServedTask{name, plan});
+  return find_orphaned_resources(controller, book, catalog);
 }
 
 }  // namespace odn::sched

@@ -15,6 +15,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,9 +37,23 @@ DerivedCommitment derive_commitment(
     const std::vector<const core::TaskPlan*>& plans,
     const edge::DnnCatalog& catalog);
 
-// Checks `controller` against the caller's book of served tasks
-// (name → committed plan). Returns a description of the first violation,
-// or nullopt when every resource re-derives exactly.
+// One entry of the caller's book: a served task's name, borrowed from the
+// caller, and its committed plan.
+struct ServedTask {
+  std::string_view name;
+  const core::TaskPlan* plan = nullptr;
+};
+
+// Checks `controller` against the caller's book of served tasks. Returns a
+// description of the first violation, or nullopt when every resource
+// re-derives exactly. The book is matched by sorting it by name in place,
+// so `served` comes back reordered.
+std::optional<std::string> find_orphaned_resources(
+    const core::OffloadnnController& controller,
+    std::vector<ServedTask>& served, const edge::DnnCatalog& catalog);
+
+// The same check over a book of owned names; it copies the book into
+// ServedTask entries. perfbench and the test helpers call it.
 std::optional<std::string> find_orphaned_resources(
     const core::OffloadnnController& controller,
     const std::vector<std::pair<std::string, const core::TaskPlan*>>& served,

@@ -55,8 +55,9 @@ LadderOutcome run_preemption_ladder(
     const std::vector<SchedCandidate>& candidates,
     const SchedOptions& options) {
   // Rung 1: admit as-is.
-  if (all_admitted(host.probe({arrival}), 1)) {
-    const core::DeploymentPlan committed = host.commit({arrival});
+  if (all_admitted(host.probe(core::single_request(arrival)), 1)) {
+    const core::DeploymentPlan committed =
+        host.commit(core::single_request(arrival));
     const core::TaskPlan* plan = find_task_plan(committed, arrival.spec.name);
     if (plan == nullptr || !plan->admitted)
       fail_probe_commit_divergence(arrival.spec.name);
@@ -83,9 +84,10 @@ LadderOutcome run_ladder_fallback(
     return host.probe(std::move(requests));
   };
   auto release_or_throw = [&](const SchedCandidate& victim) {
-    if (!host.release(victim.task.spec.name))
-      throw std::logic_error("preemption ladder: candidate '" +
-                             victim.task.spec.name + "' is not served");
+    const std::string& name = victim.task.get().spec.name;
+    if (!host.release(name))
+      throw std::logic_error("preemption ladder: candidate '" + name +
+                             "' is not served");
   };
 
   // Victim order: lowest effective priority first (they cost the arrival's
@@ -110,19 +112,20 @@ LadderOutcome run_ladder_fallback(
   auto rollback = [&](const std::vector<const SchedCandidate*>& released) {
     for (auto it = released.rbegin(); it != released.rend(); ++it) {
       const SchedCandidate* victim = *it;
+      const core::DotTask& task = victim->task;
       ++out.rollbacks;
-      const core::DeploymentPlan restored = host.commit({victim->task});
-      const core::TaskPlan* plan =
-          find_task_plan(restored, victim->task.spec.name);
+      const core::DeploymentPlan restored =
+          host.commit(core::single_request(task));
+      const core::TaskPlan* plan = find_task_plan(restored, task.spec.name);
       if (plan != nullptr && plan->admitted) {
         upsert(out.victims,
                VictimOutcome{victim->id, VictimOutcome::Fate::kRestored,
-                             victim->task, *plan});
+                             task, *plan});
       } else {
         gone.insert(victim->id);
         upsert(out.victims,
                VictimOutcome{victim->id, VictimOutcome::Fate::kPreempted,
-                             victim->task, core::TaskPlan{}});
+                             task, core::TaskPlan{}});
       }
     }
   };
@@ -157,9 +160,9 @@ LadderOutcome run_ladder_fallback(
         fail_probe_commit_divergence(arrival.spec.name);
       for (std::size_t i = 0; i < released.size(); ++i) {
         const core::TaskPlan* victim_plan =
-            find_task_plan(committed, released[i]->task.spec.name);
+            find_task_plan(committed, released[i]->task.get().spec.name);
         if (victim_plan == nullptr || !victim_plan->admitted)
-          fail_probe_commit_divergence(released[i]->task.spec.name);
+          fail_probe_commit_divergence(released[i]->task.get().spec.name);
         upsert(out.victims,
                VictimOutcome{released[i]->id,
                              VictimOutcome::Fate::kDowngraded, downgraded[i],
@@ -184,9 +187,10 @@ LadderOutcome run_ladder_fallback(
         release_or_throw(*victim);
         released.push_back(victim);
       }
-      if (!all_admitted(probe({arrival}), 1)) continue;
+      if (!all_admitted(probe(core::single_request(arrival)), 1)) continue;
 
-      const core::DeploymentPlan committed = host.commit({arrival});
+      const core::DeploymentPlan committed =
+          host.commit(core::single_request(arrival));
       const core::TaskPlan* plan =
           find_task_plan(committed, arrival.spec.name);
       if (plan == nullptr || !plan->admitted)

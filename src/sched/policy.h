@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -90,11 +91,13 @@ class ControllerSchedHost : public SchedHost {
   const edge::DnnCatalog& catalog_;
 };
 
-// A served task the ladder may act on.
+// A served task the ladder may act on. The candidate borrows the caller's
+// served spec: it must outlive the ladder call, and the ladder copies it
+// only into the VictimOutcome of a victim it actually touched.
 struct SchedCandidate {
   std::uint64_t id = 0;    // trace job id — the deterministic tie-break
   double priority = 0.0;   // effective job priority (QoS or template)
-  core::DotTask task;      // the spec the task is currently served at
+  std::reference_wrapper<const core::DotTask> task;  // spec served at
   bool downgraded = false; // already re-shaped by an earlier ladder
 };
 
@@ -112,7 +115,9 @@ struct VictimOutcome {
   enum class Fate : std::uint8_t { kDowngraded, kPreempted, kRestored };
   std::uint64_t id = 0;
   Fate fate = Fate::kRestored;
-  core::DotTask task;    // spec the task now serves under (not kPreempted)
+  core::DotTask task;    // spec the task now serves under (not kPreempted);
+                         // owned, since the caller applies it after the
+                         // ladder returns
   core::TaskPlan plan;   // committed plan (meaningless for kPreempted)
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <queue>
 #include <stdexcept>
@@ -44,9 +43,11 @@ struct Request {
   double infer_done_s = 0.0;
 };
 
+// A slice transmits its requests in arrival order, so the ones awaiting
+// transmission are always the consecutive ids [started, arrived).
 struct SliceState {
   bool busy = false;
-  std::deque<std::size_t> queue;  // request ids awaiting transmission
+  std::size_t started = 0;  // requests whose transmission has begun
 };
 
 }  // namespace
@@ -162,6 +163,12 @@ EmulationReport EdgeEmulator::run() {
                    static_cast<double>(task_plan.slice_rbs))
             : 0.0;
     params[i].rate = task_plan.admitted_rate;
+    // Sized for the expected arrivals, so the per-trace storage rarely
+    // regrows.
+    const auto expected_arrivals =
+        static_cast<std::size_t>(params[i].rate * options_.duration_s) + 1;
+    requests[i].reserve(expected_arrivals);
+    report.tasks[i].samples.reserve(expected_arrivals);
 
     // First arrival.
     const double first = options_.poisson_arrivals
@@ -265,8 +272,9 @@ EmulationReport EdgeEmulator::run() {
     }
   };
 
-  auto start_transmission = [&](double now, std::size_t trace,
-                                std::size_t request) {
+  // Starts transmitting the trace's oldest request not yet started.
+  auto start_transmission = [&](double now, std::size_t trace) {
+    const std::size_t request = slices[trace].started++;
     slices[trace].busy = true;
     slice_busy_s[trace] += params[trace].tx_time_s;
     calendar.push(Event{now + params[trace].tx_time_s, sequence++,
@@ -302,11 +310,11 @@ EmulationReport EdgeEmulator::run() {
         const std::size_t request_id = requests[trace].size();
         requests[trace].push_back(Request{event.time, 0.0});
         if (slices[trace].busy) {
-          slices[trace].queue.push_back(request_id);
-          peak_queue[trace] =
-              std::max(peak_queue[trace], slices[trace].queue.size());
+          const std::size_t waiting =
+              requests[trace].size() - slices[trace].started;
+          peak_queue[trace] = std::max(peak_queue[trace], waiting);
         } else {
-          start_transmission(event.time, trace, request_id);
+          start_transmission(event.time, trace);
         }
 
         // Schedule the next arrival of this task.
@@ -332,10 +340,8 @@ EmulationReport EdgeEmulator::run() {
                               sequence++, EventKind::kBatchBoundary, group,
                               static_cast<std::size_t>(state.generation)});
         }
-        if (!slices[trace].queue.empty()) {
-          const std::size_t next = slices[trace].queue.front();
-          slices[trace].queue.pop_front();
-          start_transmission(event.time, trace, next);
+        if (slices[trace].started < requests[trace].size()) {
+          start_transmission(event.time, trace);
         } else {
           slices[trace].busy = false;
         }

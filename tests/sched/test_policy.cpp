@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -122,13 +123,13 @@ core::DotTask make_task(const std::string& name, double priority,
   return task;
 }
 
+// The candidate borrows `task`, which must outlive every ladder call that
+// reads it. A make_task temporary passed inline to the ladder call lives
+// until that call's full-expression ends; a stored candidate list needs
+// named tasks.
 SchedCandidate make_candidate(std::uint64_t id, double priority,
-                              core::DotTask task) {
-  SchedCandidate candidate;
-  candidate.id = id;
-  candidate.priority = priority;
-  candidate.task = std::move(task);
-  return candidate;
+                              const core::DotTask& task) {
+  return SchedCandidate{id, priority, task};
 }
 
 const VictimOutcome* find_victim(const LadderOutcome& outcome,
@@ -166,10 +167,13 @@ TEST(PreemptionLadder, VictimOrderIsPriorityThenIdAndHigherIsUntouchable) {
   host.commit({make_task("c", 0.9)});
 
   // Candidate order deliberately scrambled: the ladder must sort.
+  const core::DotTask a = make_task("a", 0.2);
+  const core::DotTask b = make_task("b", 0.1);
+  const core::DotTask c = make_task("c", 0.9);
   const std::vector<SchedCandidate> candidates = {
-      make_candidate(1, 0.2, make_task("a", 0.2)),
-      make_candidate(3, 0.9, make_task("c", 0.9)),
-      make_candidate(2, 0.1, make_task("b", 0.1)),
+      make_candidate(1, 0.2, a),
+      make_candidate(3, 0.9, c),
+      make_candidate(2, 0.1, b),
   };
 
   const LadderOutcome outcome = run_preemption_ladder(
@@ -390,10 +394,8 @@ TEST_F(ControllerLadderTest, InfeasibleArrivalRollsBackToTheExactState) {
   impossible.spec.priority = 0.95;
   impossible.spec.max_latency_s = 1e-9;  // transmission alone exceeds this
 
-  SchedCandidate candidate;
-  candidate.id = 0;
-  candidate.priority = 0.0;  // strictly below the arrival: eligible
-  candidate.task = instance_.tasks[0];
+  // Priority 0 is strictly below the arrival's: eligible.
+  const SchedCandidate candidate{0, 0.0, instance_.tasks[0]};
 
   const LadderOutcome outcome = run_preemption_ladder(
       host_, impossible, {candidate}, SchedOptions{});
@@ -424,9 +426,10 @@ TEST(PreemptionLadder, FallbackIsTheLadderWithoutRungOne) {
     host.commit({make_task("v2", 0.2)});
     return host;
   };
-  const std::vector<SchedCandidate> candidates{
-      make_candidate(1, 0.1, make_task("v1", 0.1)),
-      make_candidate(2, 0.2, make_task("v2", 0.2))};
+  const core::DotTask v1 = make_task("v1", 0.1);
+  const core::DotTask v2 = make_task("v2", 0.2);
+  const std::vector<SchedCandidate> candidates{make_candidate(1, 0.1, v1),
+                                               make_candidate(2, 0.2, v2)};
   SchedOptions options;
   options.allow_downgrade = false;
 
@@ -446,6 +449,60 @@ TEST(PreemptionLadder, FallbackIsTheLadderWithoutRungOne) {
     EXPECT_EQ(fallback.victims[i].fate, full.victims[i].fate);
   }
   EXPECT_EQ(fallback_host.release_log, full_host.release_log);
+}
+
+TEST(PreemptionLadder, VictimOutcomesOwnTheirTasks) {
+  // Candidates borrow the caller's served specs, but the caller applies
+  // the outcomes after the ladder returns, when those specs may have
+  // changed or gone, so every outcome must own its task. Here the specs
+  // live in a container that is overwritten and destroyed before the
+  // outcomes are read: a borrowed task would read the overwrite, or be a
+  // heap-use-after-free under ASan.
+  struct Case {
+    const char* name;
+    bool allow_downgrade;
+    double arrival_weight;
+    SchedAction action;
+    VictimOutcome::Fate fate;
+    double min_accuracy;  // the victim's floor in its outcome
+  };
+  const Case cases[] = {
+      {"downgrade", true, 10.0, SchedAction::kDowngrade,
+       VictimOutcome::Fate::kDowngraded, 0.45},
+      {"preempt", false, 10.0, SchedAction::kPreempt,
+       VictimOutcome::Fate::kPreempted, 0.9},
+      {"restore", false, 30.0, SchedAction::kReject,
+       VictimOutcome::Fate::kRestored, 0.9},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // The victim costs 9 of 13; the arrival costs 5 (15 when restoring).
+    FakeHost host;
+    host.capacity = 13.0;
+    host.weight = {{"victim", 10.0}, {"arrival", c.arrival_weight}};
+    host.commit({make_task("victim", 0.1, 0.9)});
+    SchedOptions options;
+    options.allow_downgrade = c.allow_downgrade;
+    options.downgrade_accuracy_factor = 0.5;
+
+    auto held = std::make_unique<std::vector<core::DotTask>>(
+        1, make_task("victim", 0.1, 0.9));
+    const std::vector<SchedCandidate> candidates{
+        make_candidate(7, 0.1, held->front())};
+    const LadderOutcome outcome = run_ladder_fallback(
+        host, make_task("arrival", 0.9, 0.5), candidates, options);
+    held->front() = make_task("overwritten", 0.7, 0.3);
+    held.reset();
+
+    EXPECT_EQ(outcome.action, c.action);
+    ASSERT_EQ(outcome.victims.size(), 1u);
+    const VictimOutcome& victim = outcome.victims[0];
+    EXPECT_EQ(victim.id, 7u);
+    EXPECT_EQ(victim.fate, c.fate);
+    EXPECT_EQ(victim.task.spec.name, "victim");
+    EXPECT_DOUBLE_EQ(victim.task.spec.priority, 0.1);
+    EXPECT_DOUBLE_EQ(victim.task.spec.min_accuracy, c.min_accuracy);
+  }
 }
 
 // NaN passes every < / <= range check, so validation also demands finite
