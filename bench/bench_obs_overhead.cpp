@@ -51,16 +51,6 @@ void BM_CounterInc(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterInc);
 
-void BM_GaugeAdd(benchmark::State& state) {
-  odn::obs::Gauge& gauge =
-      odn::obs::MetricsRegistry::global().gauge("odn_bench_gauge");
-  for (auto _ : state) {
-    gauge.add(0.5);
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_GaugeAdd);
-
 void BM_HistogramObserve(benchmark::State& state) {
   odn::obs::Histogram& histogram =
       odn::obs::MetricsRegistry::global().histogram(

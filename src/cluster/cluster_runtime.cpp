@@ -52,6 +52,23 @@ enum class Route : std::uint8_t {
   kSchedReadmission,  // evicted by the preemption ladder: sched ledger
 };
 
+// The counters one route's outcomes are charged to, and the literals its
+// attempt span and flight events carry. The admission route's counters
+// are its class's; it keeps its cell and ladder accounting at the
+// placement site.
+struct RouteLedger {
+  std::size_t& placed_first_try;
+  std::size_t& placed_after_retry;
+  std::size_t& retries;
+  std::size_t& rejected;
+  std::size_t& departed;
+  std::size_t& pending_at_end;
+  const char* span_category;
+  const char* span_name;
+  const char* detail;            // retry and readmission events
+  const char* exhausted_detail;  // the final rejection
+};
+
 struct Job {
   std::uint64_t trace_id = 0;
   std::size_t template_index = 0;
@@ -343,6 +360,32 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     jobs[j].cell = kNoCell;
   };
 
+  auto ledger_of = [&](const Job& job) -> RouteLedger {
+    switch (job.route) {
+      case Route::kFaultReadmission: {
+        fault::FaultStats& f = report.faults;
+        return {f.displaced_replaced, f.displaced_readmitted,
+                f.readmission_retries, f.displaced_rejected,
+                f.displaced_departed, f.displaced_pending_at_end,
+                "fault", "fault.readmit", "fault", "fault_exhausted"};
+      }
+      case Route::kSchedReadmission: {
+        sched::SchedStats& s = report.sched;
+        return {s.preempted_readmitted, s.preempted_readmitted,
+                s.readmission_retries, s.preempted_rejected,
+                s.preempted_departed, s.preempted_pending_at_end,
+                "sched", "sched.readmit", "sched", "sched_exhausted"};
+      }
+      case Route::kAdmission:
+        break;
+    }
+    runtime::ClassStats& c = report.classes[job.class_index];
+    return {c.admitted_first_try, c.admitted_after_retry,
+            c.retries_scheduled, c.rejected_final,
+            c.departed_before_admission, c.pending_at_end,
+            "cluster", "cluster.attempt", "", "exhausted"};
+  };
+
   // No-orphaned-resources conservation: after every ladder application and
   // at each epoch boundary, every cell's ledger and deployed blocks must
   // re-derive exactly from the plans it currently serves
@@ -452,13 +495,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   auto attempt = [&](std::size_t job_index, double now) {
     Job& job = jobs[job_index];
     const Route route = job.route;
-    const obs::SpanScope span(
-        route == Route::kAdmission          ? "cluster"
-        : route == Route::kFaultReadmission ? "fault"
-                                            : "sched",
-        route == Route::kAdmission          ? "cluster.attempt"
-        : route == Route::kFaultReadmission ? "fault.readmit"
-                                            : "sched.readmit");
+    const RouteLedger ledger = ledger_of(job);
+    const obs::SpanScope span(ledger.span_category, ledger.span_name);
     ++job.attempts;
 
     core::DotTask task;
@@ -492,103 +530,62 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
 
     if (placed.cell != kNoCell) {
       serve(job_index, placed.cell);
+      ++(job.attempts == 1 ? ledger.placed_first_try
+                           : ledger.placed_after_retry);
       job.route = Route::kAdmission;
       job.plan = std::move(placed.plan);
       job.admitted_task = std::move(task);
       job.history.admit(now, downgraded);
-      switch (route) {
-        case Route::kAdmission: {
-          runtime::ClassStats& stats = report.classes[job.class_index];
-          ++stats.admitted;
-          if (job.attempts == 1)
-            ++stats.admitted_first_try;
-          else
-            ++stats.admitted_after_retry;
-          if (downgraded) ++stats.admitted_downgraded;
-          CellReport& cell = report.cells[job.cell];
-          if (job.cell == outcome.preferred_cell)
-            ++cell.admitted_preferred;
-          else
-            ++cell.admitted_spillover;
-          flight(now, obs::FlightEventKind::kAdmission, job.trace_id,
-                 job.cell, job.attempts, job.plan.accuracy,
-                 downgraded ? "downgraded" : "");
-          if (sched_on) {
-            switch (placed.action) {
-              case sched::SchedAction::kAdmit:
-                ++report.sched.admitted_plain;
-                break;
-              case sched::SchedAction::kDowngrade:
-                ++report.sched.admitted_by_downgrade;
-                break;
-              case sched::SchedAction::kPreempt:
-                ++report.sched.admitted_by_preemption;
-                break;
-              case sched::SchedAction::kReject:
-                break;
-            }
-            check_conservation("after admission");
-          }
-          return;
-        }
-        case Route::kFaultReadmission:
-          if (job.attempts == 1)
-            ++report.faults.displaced_replaced;
-          else
-            ++report.faults.displaced_readmitted;
-          break;
-        case Route::kSchedReadmission:
-          ++report.sched.preempted_readmitted;
-          break;
+      if (route != Route::kAdmission) {
+        flight(now, obs::FlightEventKind::kReadmission, job.trace_id,
+               job.cell, job.attempts, job.plan.accuracy,
+               downgraded ? "downgraded" : ledger.detail);
+        return;
       }
-      flight(now, obs::FlightEventKind::kReadmission, job.trace_id, job.cell,
+      runtime::ClassStats& stats = report.classes[job.class_index];
+      ++stats.admitted;
+      if (downgraded) ++stats.admitted_downgraded;
+      CellReport& cell = report.cells[job.cell];
+      if (job.cell == outcome.preferred_cell)
+        ++cell.admitted_preferred;
+      else
+        ++cell.admitted_spillover;
+      flight(now, obs::FlightEventKind::kAdmission, job.trace_id, job.cell,
              job.attempts, job.plan.accuracy,
-             downgraded                          ? "downgraded"
-             : route == Route::kFaultReadmission ? "fault"
-                                                 : "sched");
+             downgraded ? "downgraded" : "");
+      if (sched_on) {
+        switch (placed.action) {
+          case sched::SchedAction::kAdmit:
+            ++report.sched.admitted_plain;
+            break;
+          case sched::SchedAction::kDowngrade:
+            ++report.sched.admitted_by_downgrade;
+            break;
+          case sched::SchedAction::kPreempt:
+            ++report.sched.admitted_by_preemption;
+            break;
+          case sched::SchedAction::kReject:
+            break;
+        }
+        check_conservation("after admission");
+      }
       return;
     }
 
     if (job.attempts >= options_.retry.max_attempts) {
       job.state = Job::State::kRejected;
-      const char* detail = "exhausted";
-      switch (route) {
-        case Route::kAdmission:
-          ++report.classes[job.class_index].rejected_final;
-          break;
-        case Route::kFaultReadmission:
-          ++report.faults.displaced_rejected;
-          detail = "fault_exhausted";
-          break;
-        case Route::kSchedReadmission:
-          ++report.sched.preempted_rejected;
-          detail = "sched_exhausted";
-          break;
-      }
+      ++ledger.rejected;
       flight(now, obs::FlightEventKind::kRejection, job.trace_id, kNoCell,
-             job.attempts, 0.0, detail);
+             job.attempts, 0.0, ledger.exhausted_detail);
       return;
     }
     const double retry_at = now + options_.retry.retry_delay_s(job.attempts);
     // The horizon ends before the backoff expires: the job never gets
     // another shot. It stays pending; counted at the end.
     if (retry_at > trace.horizon_s) return;
-    const char* detail = "";
-    switch (route) {
-      case Route::kAdmission:
-        ++report.classes[job.class_index].retries_scheduled;
-        break;
-      case Route::kFaultReadmission:
-        ++report.faults.readmission_retries;
-        detail = "fault";
-        break;
-      case Route::kSchedReadmission:
-        ++report.sched.readmission_retries;
-        detail = "sched";
-        break;
-    }
+    ++ledger.retries;
     flight(now, obs::FlightEventKind::kRetryScheduled, job.trace_id, kNoCell,
-           job.attempts, retry_at, detail);
+           job.attempts, retry_at, ledger.detail);
     calendar.push(
         LoopEvent{retry_at, sequence++, LoopEventKind::kRetry, job_index});
   };
@@ -714,11 +711,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       if (served[i].empty()) continue;
 
       core::DeploymentPlan live;
-      std::unordered_map<std::string, std::size_t> class_by_name;
-      for (const std::size_t j : served[i]) {
-        live.tasks.push_back(jobs[j].plan);
-        class_by_name.emplace(jobs[j].name, jobs[j].class_index);
-      }
+      live.tasks.reserve(served[i].size());
+      for (const std::size_t j : served[i]) live.tasks.push_back(jobs[j].plan);
       sim::EmulatorOptions emu_options;
       emu_options.duration_s = options_.emulation_window_s;
       emu_options.seed =
@@ -744,8 +738,21 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           injector.idle() ? 1.0 : injector.state(i).latency_factor;
       CellReport& cell = report.cells[i];
       std::vector<double> cell_latencies;
-      for (const sim::TaskTrace& task_trace : measured.tasks) {
-        const std::size_t class_index = class_by_name.at(task_trace.task_name);
+      // Every served plan is admitted at a positive rate, so the emulator
+      // emits exactly one trace per plan, in plan order: trace k is
+      // served[i][k]'s.
+      if (measured.tasks.size() != served[i].size())
+        throw std::logic_error(util::fmt(
+            "ClusterRuntime: cell {} measured {} tasks but serves {}", i,
+            measured.tasks.size(), served[i].size()));
+      for (std::size_t k = 0; k < measured.tasks.size(); ++k) {
+        const sim::TaskTrace& task_trace = measured.tasks[k];
+        const Job& job = jobs[served[i][k]];
+        if (task_trace.correlation != job.trace_id)
+          throw std::logic_error(util::fmt(
+              "ClusterRuntime: cell {} trace {} belongs to job {}, not {}",
+              i, k, task_trace.correlation, job.trace_id));
+        const std::size_t class_index = job.class_index;
         runtime::ClassStats& stats = cell.classes[class_index];
         std::size_t violations = 0;
         for (const sim::LatencySample& latency : task_trace.samples) {
@@ -943,17 +950,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           unserve(event.job);
           job.history.departed_serving = true;
         } else if (job.state == Job::State::kPending) {
-          switch (job.route) {
-            case Route::kAdmission:
-              ++report.classes[job.class_index].departed_before_admission;
-              break;
-            case Route::kFaultReadmission:
-              ++report.faults.displaced_departed;
-              break;
-            case Route::kSchedReadmission:
-              ++report.sched.preempted_departed;
-              break;
-          }
+          ++ledger_of(job).departed;
         }
         job.state = Job::State::kDeparted;
         break;
@@ -1000,19 +997,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       count_bucket(
           sched::classify(job.history, job.state == Job::State::kActive),
           report.sched);
-    if (job.state == Job::State::kPending) {
-      switch (job.route) {
-        case Route::kAdmission:
-          ++report.classes[job.class_index].pending_at_end;
-          break;
-        case Route::kFaultReadmission:
-          ++report.faults.displaced_pending_at_end;
-          break;
-        case Route::kSchedReadmission:
-          ++report.sched.preempted_pending_at_end;
-          break;
-      }
-    }
+    if (job.state == Job::State::kPending) ++ledger_of(job).pending_at_end;
   }
   for (std::size_t i = 0; i < cell_count; ++i) {
     report.active_at_end += served[i].size();

@@ -13,25 +13,19 @@
 namespace odn::core {
 namespace {
 
-// Exhaustive-traversal accounting. Without bound pruning every counter
-// matches the serial traversal for any ODN_THREADS. Caveat (mirrors
-// branches_explored in DotSolution): with bound_pruning enabled the
-// parallel fan-out prunes against per-subtree incumbents, so the
-// visited/branch/pruned totals may exceed the serial run's — deterministic
-// for a fixed thread count, not across ODN_THREADS.
+// Exhaustive-traversal accounting. Every counter matches the serial
+// traversal for any ODN_THREADS.
 struct OptimalMetrics {
   obs::Counter& solves;
   obs::Counter& vertices_visited;
   obs::Counter& branches_explored;  // complete leaves evaluated
-  obs::Counter& bound_pruned;       // subtrees cut by the lower bound
 
   static OptimalMetrics& instance() {
     static obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     static OptimalMetrics metrics{
         registry.counter("odn_solver_optimal_solves_total"),
         registry.counter("odn_solver_optimal_vertices_visited_total"),
-        registry.counter("odn_solver_optimal_branches_explored_total"),
-        registry.counter("odn_solver_optimal_bound_pruned_total")};
+        registry.counter("odn_solver_optimal_branches_explored_total")};
     return metrics;
   }
 };
@@ -42,19 +36,16 @@ struct DfsContext {
   const SolutionTree& tree;
   const BranchOptimizer& optimizer;
   const DotEvaluator& evaluator;
-  const OptimalSolverOptions& options;
 
   std::vector<BranchChoice> choices;       // per task index
   std::vector<std::uint32_t> block_use;    // refcount per catalog block
   double memory_used = 0.0;
-  double training_committed = 0.0;
 
   double best_objective = 0.0;
   bool have_best = false;
   std::vector<TaskDecision> best_decisions;
   std::size_t branches = 0;
   std::size_t visited = 0;  // tree vertices applied (feasible or not)
-  std::size_t pruned = 0;   // bound-pruned subtrees
 };
 
 void dfs(DfsContext& ctx, std::size_t layer_index);
@@ -70,15 +61,10 @@ void visit_vertex(DfsContext& ctx, std::size_t layer_index,
   ++ctx.visited;
 
   double memory_delta = 0.0;
-  double training_delta = 0.0;
-  for (const edge::BlockIndex b : option.path.blocks) {
-    if (ctx.block_use[b]++ == 0) {
+  for (const edge::BlockIndex b : option.path.blocks)
+    if (ctx.block_use[b]++ == 0)
       memory_delta += ctx.instance.block_memory_bytes(b);
-      training_delta += ctx.instance.block_training_cost_s(b);
-    }
-  }
   ctx.memory_used += memory_delta;
-  ctx.training_committed += training_delta;
 
   // The paper's traversal rule: halt the branch when cumulative memory
   // exceeds M.
@@ -89,7 +75,6 @@ void visit_vertex(DfsContext& ctx, std::size_t layer_index,
   }
 
   ctx.memory_used -= memory_delta;
-  ctx.training_committed -= training_delta;
   for (const edge::BlockIndex b : option.path.blocks) --ctx.block_use[b];
 }
 
@@ -105,17 +90,6 @@ void dfs(DfsContext& ctx, std::size_t layer_index) {
       ctx.best_decisions = decisions;
     }
     return;
-  }
-
-  if (ctx.options.bound_pruning && ctx.have_best) {
-    // Valid lower bound on any completion: the training cost already
-    // committed on this branch (every other objective term can be zero).
-    const double bound = (1.0 - ctx.instance.alpha) * ctx.training_committed /
-                         ctx.instance.resources.training_budget_s;
-    if (bound >= ctx.best_objective) {
-      ++ctx.pruned;
-      return;
-    }
   }
 
   const std::size_t task_index = ctx.tree.layer_task(layer_index);
@@ -135,19 +109,16 @@ void dfs(DfsContext& ctx, std::size_t layer_index) {
 // Fresh DFS state for one top-level subtree of the parallel fan-out.
 DfsContext make_context(const DotInstance& instance, const SolutionTree& tree,
                         const BranchOptimizer& optimizer,
-                        const DotEvaluator& evaluator,
-                        const OptimalSolverOptions& options) {
+                        const DotEvaluator& evaluator) {
   return DfsContext{.instance = instance,
                     .tree = tree,
                     .optimizer = optimizer,
                     .evaluator = evaluator,
-                    .options = options,
                     .choices =
                         std::vector<BranchChoice>(instance.tasks.size()),
                     .block_use = std::vector<std::uint32_t>(
                         instance.catalog.block_count(), 0),
                     .memory_used = 0.0,
-                    .training_committed = 0.0,
                     .best_objective = 0.0,
                     .have_best = false,
                     .best_decisions = {},
@@ -200,18 +171,15 @@ DotSolution OptimalSolver::solve(const DotInstance& instance) const {
   std::vector<TaskDecision> best_decisions;
   std::size_t branches_explored = 0;
   std::size_t vertices_visited = 0;
-  std::size_t bound_pruned = 0;
 
   if (!parallel) {
-    DfsContext ctx =
-        make_context(instance, tree, optimizer, evaluator, options_);
+    DfsContext ctx = make_context(instance, tree, optimizer, evaluator);
     dfs(ctx, 0);
     have_best = ctx.have_best;
     best_objective = ctx.best_objective;
     best_decisions = std::move(ctx.best_decisions);
     branches_explored = ctx.branches;
     vertices_visited = ctx.visited;
-    bound_pruned = ctx.pruned;
   } else {
     struct SubtreeResult {
       bool have_best = false;
@@ -219,13 +187,11 @@ DotSolution OptimalSolver::solve(const DotInstance& instance) const {
       std::vector<TaskDecision> best_decisions;
       std::size_t branches = 0;
       std::size_t visited = 0;
-      std::size_t pruned = 0;
     };
     std::vector<SubtreeResult> results(fanout);
 
     util::global_parallel_for(fanout, [&](std::size_t child) {
-      DfsContext ctx =
-          make_context(instance, tree, optimizer, evaluator, options_);
+      DfsContext ctx = make_context(instance, tree, optimizer, evaluator);
       if (child == 0) {
         // The skip child: the first task is rejected on this subtree
         // (choices start empty).
@@ -235,17 +201,13 @@ DotSolution OptimalSolver::solve(const DotInstance& instance) const {
       }
       results[child] = SubtreeResult{ctx.have_best, ctx.best_objective,
                                      std::move(ctx.best_decisions),
-                                     ctx.branches, ctx.visited, ctx.pruned};
+                                     ctx.branches, ctx.visited};
     });
 
     // Deterministic min-reduce in branch order: exact serial tie-breaking.
-    // (With bound_pruning the branch *count* may exceed the serial one —
-    // subtrees prune against local incumbents only — but the reported
-    // optimum and its decisions are unchanged.)
     for (SubtreeResult& result : results) {
       branches_explored += result.branches;
       vertices_visited += result.visited;
-      bound_pruned += result.pruned;
       if (!result.have_best) continue;
       if (!have_best || result.best_objective < best_objective) {
         have_best = true;
@@ -259,7 +221,6 @@ DotSolution OptimalSolver::solve(const DotInstance& instance) const {
   metrics.solves.inc();
   metrics.vertices_visited.inc(vertices_visited);
   metrics.branches_explored.inc(branches_explored);
-  metrics.bound_pruned.inc(bound_pruned);
 
   DotSolution solution;
   solution.solver_name = "optimum";

@@ -16,10 +16,6 @@
 namespace odn::core {
 
 struct OptimalSolverOptions {
-  // When true, additionally prunes branches whose partial cost lower bound
-  // already exceeds the incumbent (branch-and-bound extension; the paper's
-  // optimum enumerates everything, so this defaults to off).
-  bool bound_pruning = false;
   // Safety valve: abort with an exception when the tree has more branches
   // than this (protects against accidentally running on large instances).
   double max_branches = 5e7;

@@ -81,19 +81,4 @@ std::size_t RadioModel::min_rbs_for_rate(double bits_per_second,
   return static_cast<std::size_t>(std::ceil(required - 1e-12));
 }
 
-RadioResourcePool::RadioResourcePool(std::size_t total_rbs)
-    : total_rbs_(total_rbs) {}
-
-bool RadioResourcePool::try_allocate(std::size_t rbs) noexcept {
-  if (rbs > available_rbs()) return false;
-  allocated_ += rbs;
-  return true;
-}
-
-void RadioResourcePool::release(std::size_t rbs) {
-  if (rbs > allocated_)
-    throw std::logic_error("RadioResourcePool: releasing more than allocated");
-  allocated_ -= rbs;
-}
-
 }  // namespace odn::edge

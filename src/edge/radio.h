@@ -1,5 +1,5 @@
 // Radio model: B(σ), the per-resource-block throughput as a function of the
-// device's average SNR, plus slice accounting.
+// device's average SNR.
 //
 // Two modes are provided:
 //  - an LTE-like MCS table (CQI -> spectral efficiency) applied to a
@@ -52,31 +52,6 @@ class RadioModel {
   bool fixed_mode_ = true;
   double fixed_rate_ = 350e3;  // 0.35 Mbps (Table IV)
   double derate_ = 1.0;        // multiplicative throughput factor
-};
-
-// A radio slice: the RBs dedicated to one task's uplink traffic.
-struct RadioSlice {
-  std::size_t rbs = 0;
-  double snr_db = 20.0;
-};
-
-// Tracks RB assignment against the cell capacity R.
-class RadioResourcePool {
- public:
-  explicit RadioResourcePool(std::size_t total_rbs);
-
-  std::size_t total_rbs() const noexcept { return total_rbs_; }
-  std::size_t allocated_rbs() const noexcept { return allocated_; }
-  std::size_t available_rbs() const noexcept { return total_rbs_ - allocated_; }
-
-  // Attempts to reserve `rbs`; returns false (no change) if unavailable.
-  bool try_allocate(std::size_t rbs) noexcept;
-  void release(std::size_t rbs);
-  void reset() noexcept { allocated_ = 0; }
-
- private:
-  std::size_t total_rbs_;
-  std::size_t allocated_ = 0;
 };
 
 }  // namespace odn::edge

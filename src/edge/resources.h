@@ -42,8 +42,9 @@ struct EdgeResources {
   }
 };
 
-// Running usage ledger against the capacities, used by the controller and
-// the emulator to track admission-time commitments.
+// Running usage ledger against the capacities. The controller rebuilds it
+// from scratch (reset() + try_commit per plan) after every change, so it
+// only ever adds.
 class ResourceLedger {
  public:
   explicit ResourceLedger(const EdgeResources& capacity)
@@ -66,16 +67,6 @@ class ResourceLedger {
     memory_used_ += memory_bytes;
     rbs_used_ += rbs;
     return true;
-  }
-
-  void release(double compute_s, double memory_bytes, std::size_t rbs) {
-    compute_used_ -= compute_s;
-    memory_used_ -= memory_bytes;
-    if (rbs > rbs_used_)
-      throw std::logic_error("ResourceLedger: RB release underflow");
-    rbs_used_ -= rbs;
-    if (compute_used_ < -1e-9 || memory_used_ < -1e-9)
-      throw std::logic_error("ResourceLedger: release underflow");
   }
 
   void reset() noexcept {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,7 +70,5 @@ class Layer {
  protected:
   bool frozen_ = false;
 };
-
-using LayerPtr = std::unique_ptr<Layer>;
 
 }  // namespace odn::nn

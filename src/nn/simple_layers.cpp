@@ -1,7 +1,5 @@
 #include "nn/simple_layers.h"
 
-#include "util/fmt.h"
-#include <limits>
 #include <stdexcept>
 
 namespace odn::nn {
@@ -25,66 +23,6 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor grad_input(grad_output.shape());
   for (std::size_t i = 0; i < grad_input.size(); ++i)
     grad_input[i] = grad_output[i] * cached_mask_[i];
-  return grad_input;
-}
-
-MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
-  if (window == 0) throw std::invalid_argument("MaxPool2d: zero window");
-}
-
-std::string MaxPool2d::name() const {
-  return odn::util::fmt("MaxPool2d({})", window_);
-}
-
-Tensor MaxPool2d::forward(const Tensor& input, bool training) {
-  const std::size_t batch = input.shape()[0];
-  const std::size_t channels = input.shape()[1];
-  const std::size_t in_h = input.shape()[2];
-  const std::size_t in_w = input.shape()[3];
-  const std::size_t out_h = in_h / window_;
-  const std::size_t out_w = in_w / window_;
-  if (out_h == 0 || out_w == 0)
-    throw std::invalid_argument(
-        odn::util::fmt("{}: input {}x{} smaller than window", name(), in_h, in_w));
-
-  Tensor output({batch, channels, out_h, out_w});
-  if (training) {
-    cached_argmax_ = Tensor(output.shape());
-    cached_input_shape_ = input.shape();
-  }
-
-  for (std::size_t n = 0; n < batch; ++n)
-    for (std::size_t c = 0; c < channels; ++c)
-      for (std::size_t oh = 0; oh < out_h; ++oh)
-        for (std::size_t ow = 0; ow < out_w; ++ow) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_index = 0;
-          for (std::size_t kh = 0; kh < window_; ++kh)
-            for (std::size_t kw = 0; kw < window_; ++kw) {
-              const std::size_t ih = oh * window_ + kh;
-              const std::size_t iw = ow * window_ + kw;
-              const float value = input.at4(n, c, ih, iw);
-              if (value > best) {
-                best = value;
-                best_index = ((n * channels + c) * in_h + ih) * in_w + iw;
-              }
-            }
-          output.at4(n, c, oh, ow) = best;
-          if (training)
-            cached_argmax_.at4(n, c, oh, ow) =
-                static_cast<float>(best_index);
-        }
-  return output;
-}
-
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  if (cached_argmax_.empty())
-    throw std::logic_error(name() + ": backward without training forward");
-  Tensor grad_input(cached_input_shape_);
-  for (std::size_t i = 0; i < grad_output.size(); ++i) {
-    const auto source = static_cast<std::size_t>(cached_argmax_[i]);
-    grad_input[source] += grad_output[i];
-  }
   return grad_input;
 }
 
@@ -126,18 +64,6 @@ Tensor GlobalAvgPool2d::backward(const Tensor& grad_output) {
           grad_input.at4(n, c, h, w) = spread;
     }
   return grad_input;
-}
-
-Tensor Flatten::forward(const Tensor& input, bool training) {
-  if (training) cached_input_shape_ = input.shape();
-  const std::size_t batch = input.shape()[0];
-  return input.reshaped({batch, input.size() / batch});
-}
-
-Tensor Flatten::backward(const Tensor& grad_output) {
-  if (cached_input_shape_.rank() == 0)
-    throw std::logic_error("Flatten: backward without training forward");
-  return grad_output.reshaped(cached_input_shape_);
 }
 
 }  // namespace odn::nn

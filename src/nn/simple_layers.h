@@ -1,4 +1,4 @@
-// Stateless / lightweight layers: ReLU, MaxPool2d, GlobalAvgPool2d, Flatten.
+// Stateless / lightweight layers: ReLU, GlobalAvgPool2d.
 #pragma once
 
 #include "nn/layer.h"
@@ -15,48 +15,12 @@ class ReLU final : public Layer {
   Tensor cached_mask_;  // 1 where input > 0
 };
 
-// Square max pooling with stride equal to the window (the common CNN form).
-class MaxPool2d final : public Layer {
- public:
-  explicit MaxPool2d(std::size_t window);
-
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override;
-
-  // Caches one argmax float per *pooled* output element, not per input
-  // element: input/window^2.
-  std::size_t backward_cache_bytes(std::size_t input_elements) const override {
-    return input_elements / (window_ * window_) * sizeof(float);
-  }
-
- private:
-  std::size_t window_;
-  Tensor cached_argmax_;  // flat input index of each pooled maximum
-  Shape cached_input_shape_;
-};
-
 // Global average pooling: (N, C, H, W) -> (N, C).
 class GlobalAvgPool2d final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "GlobalAvgPool2d"; }
-
-  // Only the input shape is cached.
-  std::size_t backward_cache_bytes(std::size_t) const override { return 0; }
-
- private:
-  Shape cached_input_shape_;
-};
-
-// (N, C, H, W) -> (N, C*H*W). Pure reshape; kept as a layer so Sequential
-// stacks read naturally.
-class Flatten final : public Layer {
- public:
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Flatten"; }
 
   // Only the input shape is cached.
   std::size_t backward_cache_bytes(std::size_t) const override { return 0; }

@@ -58,28 +58,7 @@ std::string label_string(const Labels& labels) {
   return out;
 }
 
-const char* kind_name(int kind) {
-  switch (kind) {
-    case 0: return "counter";
-    case 1: return "gauge";
-    default: return "histogram";
-  }
-}
-
 }  // namespace
-
-void Gauge::set(double value) noexcept {
-  micro_.store(to_micro(value), std::memory_order_relaxed);
-}
-
-void Gauge::add(double delta) noexcept {
-  micro_.fetch_add(to_micro(delta), std::memory_order_relaxed);
-}
-
-double Gauge::value() const noexcept {
-  return static_cast<double>(micro_.load(std::memory_order_relaxed)) /
-         kMicro;
-}
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
@@ -126,8 +105,7 @@ void Histogram::reset() noexcept {
 MetricsRegistry::Child& MetricsRegistry::child(
     const std::string& name, const Labels& labels, Kind kind,
     const std::vector<double>* bounds) {
-  const Labels canonical = canonical_labels(labels);
-  const std::string key = label_string(canonical);
+  const std::string key = label_string(canonical_labels(labels));
 
   const std::lock_guard<std::mutex> lock(mutex_);
   auto [family_it, inserted] = families_.try_emplace(name);
@@ -149,13 +127,9 @@ MetricsRegistry::Child& MetricsRegistry::child(
   auto [child_it, child_inserted] = family.children.try_emplace(key);
   Child& entry = child_it->second;
   if (child_inserted) {
-    entry.labels = canonical;
     switch (kind) {
       case Kind::kCounter:
         entry.counter = std::make_unique<Counter>();
-        break;
-      case Kind::kGauge:
-        entry.gauge = std::make_unique<Gauge>();
         break;
       case Kind::kHistogram:
         entry.histogram = std::make_unique<Histogram>(family.bounds);
@@ -168,10 +142,6 @@ MetricsRegistry::Child& MetricsRegistry::child(
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const Labels& labels) {
   return *child(name, labels, Kind::kCounter, nullptr).counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  return *child(name, labels, Kind::kGauge, nullptr).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
@@ -192,7 +162,6 @@ void MetricsRegistry::reset_values() {
   for (auto& [name, family] : families_) {
     for (auto& [key, entry] : family.children) {
       if (entry.counter) entry.counter->reset();
-      if (entry.gauge) entry.gauge->reset();
       if (entry.histogram) entry.histogram->reset();
     }
   }
@@ -202,15 +171,12 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, family] : families_) {
     out << "# TYPE " << name << " "
-        << kind_name(static_cast<int>(family.kind)) << "\n";
+        << (family.kind == Kind::kCounter ? "counter" : "histogram") << "\n";
     for (const auto& [key, entry] : family.children) {
       const std::string selector = key.empty() ? "" : "{" + key + "}";
       if (entry.counter) {
         out << name << selector << " " << entry.counter->value() << "\n";
-      } else if (entry.gauge) {
-        out << name << selector << " " << json_shortest(entry.gauge->value())
-            << "\n";
-      } else if (entry.histogram) {
+      } else {
         const Histogram& histogram = *entry.histogram;
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < histogram.bounds().size(); ++i) {
@@ -233,51 +199,6 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
 std::string MetricsRegistry::to_prometheus() const {
   std::ostringstream out;
   write_prometheus(out);
-  return out.str();
-}
-
-void MetricsRegistry::write_json(std::ostream& out) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  out << "{\n  \"schema\": \"odn-metrics/1\",\n  \"metrics\": [";
-  bool first = true;
-  for (const auto& [name, family] : families_) {
-    for (const auto& [key, entry] : family.children) {
-      out << (first ? "" : ",") << "\n    {\"name\": \"" << json_escape(name)
-          << "\", \"type\": \"" << kind_name(static_cast<int>(family.kind))
-          << "\", \"labels\": {";
-      for (std::size_t i = 0; i < entry.labels.size(); ++i) {
-        out << (i == 0 ? "" : ", ") << "\""
-            << json_escape(entry.labels[i].first) << "\": \""
-            << json_escape(entry.labels[i].second) << "\"";
-      }
-      out << "}, ";
-      if (entry.counter) {
-        out << "\"value\": " << entry.counter->value() << "}";
-      } else if (entry.gauge) {
-        out << "\"value\": " << json_shortest(entry.gauge->value()) << "}";
-      } else if (entry.histogram) {
-        const Histogram& histogram = *entry.histogram;
-        out << "\"buckets\": [";
-        for (std::size_t i = 0; i < histogram.bucket_count(); ++i) {
-          out << (i == 0 ? "" : ", ") << "{\"le\": ";
-          if (i < histogram.bounds().size())
-            out << json_shortest(histogram.bounds()[i]);
-          else
-            out << "\"+Inf\"";
-          out << ", \"count\": " << histogram.bucket(i) << "}";
-        }
-        out << "], \"sum\": " << json_shortest(histogram.sum())
-            << ", \"count\": " << histogram.count() << "}";
-      }
-      first = false;
-    }
-  }
-  out << "\n  ]\n}\n";
-}
-
-std::string MetricsRegistry::to_json() const {
-  std::ostringstream out;
-  write_json(out);
   return out.str();
 }
 

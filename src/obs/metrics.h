@@ -1,16 +1,15 @@
 // Metrics registry — the aggregate half of the observability layer.
 //
-// Named counters, gauges and fixed-bucket histograms, optionally labelled
+// Named counters and fixed-bucket histograms, optionally labelled
 // (e.g. {class="high"}), registered in a process-wide registry and
-// exported as deterministic snapshots in two formats: a JSON document and
-// Prometheus text exposition. Metric names follow the repo scheme
-// `odn_<subsystem>_<name>` (DESIGN.md §6).
+// exported as deterministic Prometheus text exposition. Metric names
+// follow the repo scheme `odn_<subsystem>_<name>` (DESIGN.md §6).
 //
 // Determinism contract: export order is sorted by (name, label set), never
 // registration order, and every accumulator is commutative — counters and
-// histogram bucket counts are integer atomics, and real-valued sums
-// (histogram sum, gauge adds) accumulate in fixed-point micro-units so
-// parallel increment interleavings cannot perturb the result. Metrics
+// histogram bucket counts are integer atomics, and the histogram sum
+// accumulates in fixed-point micro-units so parallel increment
+// interleavings cannot perturb the result. Metrics
 // incremented only at sites whose execution count is thread-count
 // invariant therefore snapshot byte-identically for any ODN_THREADS
 // setting (asserted by tests/obs/test_obs_integration.cpp).
@@ -49,20 +48,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-// Point-in-time value in fixed-point micro-units. add() commutes and is
-// safe from parallel regions; set() is last-write-wins and must only be
-// called from serial sections when determinism matters.
-class Gauge {
- public:
-  void set(double value) noexcept;
-  void add(double delta) noexcept;
-  double value() const noexcept;
-  void reset() noexcept { micro_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> micro_{0};
-};
-
 // Fixed-bucket histogram with Prometheus `le` semantics: bucket i counts
 // observations <= bounds[i]; one implicit +Inf overflow bucket catches the
 // rest (there is no separate underflow bucket — everything below bounds[0]
@@ -99,7 +84,6 @@ class Histogram {
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name, const Labels& labels = {});
-  Gauge& gauge(const std::string& name, const Labels& labels = {});
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
                        const Labels& labels = {});
 
@@ -114,21 +98,14 @@ class MetricsRegistry {
   void write_prometheus(std::ostream& out) const;
   std::string to_prometheus() const;
 
-  // JSON snapshot with the same deterministic ordering; doubles printed
-  // via std::to_chars (shortest round-trip, locale-independent).
-  void write_json(std::ostream& out) const;
-  std::string to_json() const;
-
   // The process-wide registry every instrumentation site uses.
   static MetricsRegistry& global();
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
 
   struct Child {
-    Labels labels;  // canonical (sorted by key)
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
   struct Family {

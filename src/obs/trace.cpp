@@ -26,7 +26,6 @@ struct TraceEvent {
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
   std::uint32_t tid = 0;
-  char phase = 'X';
 };
 
 // One buffer per thread, owned jointly by the thread (thread_local
@@ -135,16 +134,10 @@ void write_trace_json(std::ostream& out) {
     const TraceEvent& event = events[i];
     if (i != 0) out << ",";
     out << "\n{\"name\":\"" << json_escape(event.name) << "\",\"cat\":\""
-        << json_escape(event.category) << "\",\"ph\":\"" << event.phase
-        << "\",\"ts\":";
+        << json_escape(event.category) << "\",\"ph\":\"X\",\"ts\":";
     write_us(out, event.start_ns);
-    if (event.phase == 'X') {
-      out << ",\"dur\":";
-      write_us(out, event.dur_ns);
-    } else {
-      // Perfetto requires a scope for instant events; "t" = thread.
-      out << ",\"s\":\"t\"";
-    }
+    out << ",\"dur\":";
+    write_us(out, event.dur_ns);
     out << ",\"pid\":1,\"tid\":" << event.tid << ",\"args\":{\"seq\":"
         << event.seq << "}}";
   }
@@ -172,18 +165,6 @@ void SpanScope::end() noexcept {
   event.seq = seq_;
   event.start_ns = start_ns_;
   event.dur_ns = now_ns() - start_ns_;
-  event.phase = 'X';
-  append_event(event);
-}
-
-void trace_instant(const char* category, const char* name) noexcept {
-  if (!tracing_enabled()) return;
-  TraceEvent event;
-  event.category = category;
-  event.name = name;
-  event.seq = g_sequence.fetch_add(1, std::memory_order_relaxed);
-  event.start_ns = now_ns();
-  event.phase = 'i';
   append_event(event);
 }
 

@@ -76,9 +76,6 @@ class SpanScope {
   std::uint64_t seq_ = 0;
 };
 
-// Zero-duration instant event (phase "i"), e.g. an admission decision.
-void trace_instant(const char* category, const char* name) noexcept;
-
 #define ODN_OBS_CONCAT_INNER(a, b) a##b
 #define ODN_OBS_CONCAT(a, b) ODN_OBS_CONCAT_INNER(a, b)
 

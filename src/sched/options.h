@@ -32,10 +32,6 @@ struct SchedOptions {
   // for it. Must be in (0, 1].
   double downgrade_accuracy_factor = 0.9;
 
-  // A served task is only victimizable when its priority is more than this
-  // gap below the arrival's (0 = any strictly lower priority).
-  double min_priority_gap = 0.0;
-
   // Admit-by deadline assumed for jobs whose trace carries no QoS
   // annotation (relative to arrival).
   double default_deadline_s = 10.0;

@@ -94,7 +94,7 @@ LadderOutcome run_ladder_fallback(
   // class the least), ties broken by trace id — fully deterministic.
   std::vector<const SchedCandidate*> eligible;
   for (const SchedCandidate& c : candidates)
-    if (c.priority + options.min_priority_gap < arrival.spec.priority)
+    if (c.priority < arrival.spec.priority)
       eligible.push_back(&c);
   std::sort(eligible.begin(), eligible.end(),
             [](const SchedCandidate* a, const SchedCandidate* b) {
@@ -130,27 +130,33 @@ LadderOutcome run_ladder_fallback(
     }
   };
 
-  // Rung 2: accuracy-downgrade. Release victims cumulatively (cheapest
-  // first) and probe the joint set {arrival, downgraded victims} so the
-  // solver re-shapes every victim and fits the arrival in one solve.
-  if (options.allow_downgrade && options.max_victims > 0) {
+  // Rungs 2 and 3 share one climb: release victims cumulatively (cheapest
+  // first), probe after each release, commit on the first probe that
+  // admits everything, else roll every released victim back.
+  //  - Rung 2, accuracy-downgrade (`reshape`): probe the joint set
+  //    {arrival, downgraded victims} so the solver re-shapes every victim
+  //    and fits the arrival in one solve. Already-downgraded candidates
+  //    are not victims here.
+  //  - Rung 3, preempt outright: same victim order (downgraded tasks are
+  //    now fair game too), probing {arrival} alone after each eviction.
+  auto climb = [&](bool reshape) {
     std::vector<const SchedCandidate*> pool;
     for (const SchedCandidate* c : eligible)
-      if (!c->downgraded) pool.push_back(c);
+      if (!reshape || !c->downgraded) pool.push_back(c);
     if (pool.size() > options.max_victims) pool.resize(options.max_victims);
 
     std::vector<const SchedCandidate*> released;
-    std::vector<core::DotTask> downgraded;
+    std::vector<core::DotTask> requests;  // arrival, then re-shaped victims
+    requests.reserve(1 + pool.size());
+    requests.push_back(arrival);
     for (const SchedCandidate* victim : pool) {
-      release_or_throw(*victim);
-      released.push_back(victim);
-      downgraded.push_back(downgrade_spec(
-          victim->task, options.downgrade_accuracy_factor));
-
-      std::vector<core::DotTask> requests;
-      requests.reserve(1 + downgraded.size());
-      requests.push_back(arrival);
-      for (const core::DotTask& d : downgraded) requests.push_back(d);
+      if (gone.count(victim->id) == 0) {
+        release_or_throw(*victim);
+        released.push_back(victim);
+        if (reshape)
+          requests.push_back(downgrade_spec(
+              victim->task, options.downgrade_accuracy_factor));
+      }
       if (!all_admitted(probe(requests), requests.size())) continue;
 
       const core::DeploymentPlan committed = host.commit(requests);
@@ -159,51 +165,32 @@ LadderOutcome run_ladder_fallback(
       if (arrival_plan == nullptr || !arrival_plan->admitted)
         fail_probe_commit_divergence(arrival.spec.name);
       for (std::size_t i = 0; i < released.size(); ++i) {
-        const core::TaskPlan* victim_plan =
-            find_task_plan(committed, released[i]->task.get().spec.name);
+        const SchedCandidate& evicted = *released[i];
+        if (!reshape) {
+          upsert(out.victims,
+                 VictimOutcome{evicted.id, VictimOutcome::Fate::kPreempted,
+                               evicted.task, core::TaskPlan{}});
+          continue;
+        }
+        const std::string& name = evicted.task.get().spec.name;
+        const core::TaskPlan* victim_plan = find_task_plan(committed, name);
         if (victim_plan == nullptr || !victim_plan->admitted)
-          fail_probe_commit_divergence(released[i]->task.get().spec.name);
+          fail_probe_commit_divergence(name);
         upsert(out.victims,
-               VictimOutcome{released[i]->id,
-                             VictimOutcome::Fate::kDowngraded, downgraded[i],
-                             *victim_plan});
+               VictimOutcome{evicted.id, VictimOutcome::Fate::kDowngraded,
+                             std::move(requests[i + 1]), *victim_plan});
       }
-      out.action = SchedAction::kDowngrade;
+      out.action = reshape ? SchedAction::kDowngrade : SchedAction::kPreempt;
       out.plan = *arrival_plan;
-      return out;
+      return true;
     }
     rollback(released);
-  }
+    return false;
+  };
 
-  // Rung 3: preempt outright. Same victim order (downgraded tasks are now
-  // fair game too), probing {arrival} alone after each eviction.
-  if (options.allow_preempt && options.max_victims > 0) {
-    std::vector<const SchedCandidate*> pool = eligible;
-    if (pool.size() > options.max_victims) pool.resize(options.max_victims);
-
-    std::vector<const SchedCandidate*> released;
-    for (const SchedCandidate* victim : pool) {
-      if (gone.count(victim->id) == 0) {
-        release_or_throw(*victim);
-        released.push_back(victim);
-      }
-      if (!all_admitted(probe(core::single_request(arrival)), 1)) continue;
-
-      const core::DeploymentPlan committed =
-          host.commit(core::single_request(arrival));
-      const core::TaskPlan* plan =
-          find_task_plan(committed, arrival.spec.name);
-      if (plan == nullptr || !plan->admitted)
-        fail_probe_commit_divergence(arrival.spec.name);
-      for (const SchedCandidate* evicted : released)
-        upsert(out.victims,
-               VictimOutcome{evicted->id, VictimOutcome::Fate::kPreempted,
-                             evicted->task, core::TaskPlan{}});
-      out.action = SchedAction::kPreempt;
-      out.plan = *plan;
-      return out;
-    }
-    rollback(released);
+  if (options.max_victims > 0) {
+    if (options.allow_downgrade && climb(/*reshape=*/true)) return out;
+    if (options.allow_preempt && climb(/*reshape=*/false)) return out;
   }
 
   // Rung 4: reject. Victim outcomes still matter — rollbacks may have

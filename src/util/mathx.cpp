@@ -1,7 +1,6 @@
 #include "util/mathx.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace odn::util {
@@ -11,38 +10,6 @@ double mean(std::span<const double> values) noexcept {
   double sum = 0.0;
   for (const double v : values) sum += v;
   return sum / static_cast<double>(values.size());
-}
-
-double stddev(std::span<const double> values) noexcept {
-  if (values.size() < 2) return 0.0;
-  const double mu = mean(values);
-  double sum_sq = 0.0;
-  for (const double v : values) sum_sq += (v - mu) * (v - mu);
-  return std::sqrt(sum_sq / static_cast<double>(values.size() - 1));
-}
-
-double min_value(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  return *std::min_element(values.begin(), values.end());
-}
-
-double max_value(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  return *std::max_element(values.begin(), values.end());
-}
-
-std::vector<double> linspace(double lo, double hi, std::size_t count) {
-  if (count == 0) throw std::invalid_argument("linspace: count must be >= 1");
-  std::vector<double> grid(count);
-  if (count == 1) {
-    grid[0] = lo;
-    return grid;
-  }
-  const double step = (hi - lo) / static_cast<double>(count - 1);
-  for (std::size_t i = 0; i < count; ++i)
-    grid[i] = lo + step * static_cast<double>(i);
-  grid.back() = hi;  // exact endpoint despite rounding
-  return grid;
 }
 
 std::vector<double> moving_average(std::span<const double> values,
@@ -81,11 +48,6 @@ double percentile(std::vector<double> values, double pct) {
   const double hi_value =
       hi == lo ? lo_value : *std::min_element(lo_it + 1, values.end());
   return lo_value * (1.0 - frac) + hi_value * frac;
-}
-
-bool approx_equal(double a, double b, double tol) noexcept {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
 }
 
 double clamp(double value, double lo, double hi) noexcept {

@@ -11,17 +11,6 @@ namespace odn::util {
 // Arithmetic mean; returns 0 for an empty span.
 double mean(std::span<const double> values) noexcept;
 
-// Unbiased sample standard deviation; returns 0 for fewer than two values.
-double stddev(std::span<const double> values) noexcept;
-
-// Population min/max; returns 0 for an empty span.
-double min_value(std::span<const double> values) noexcept;
-double max_value(std::span<const double> values) noexcept;
-
-// Linear interpolation grid: count points from lo to hi inclusive.
-// count == 1 yields {lo}. Requires count >= 1.
-std::vector<double> linspace(double lo, double hi, std::size_t count);
-
 // Centered simple moving average with the given window (window >= 1); the
 // ends use the available neighborhood. Mirrors the smoothing the paper
 // applies to Fig. 11 traces (window of 3 samples).
@@ -30,9 +19,6 @@ std::vector<double> moving_average(std::span<const double> values,
 
 // Percentile in [0, 100] via linear interpolation between order statistics.
 double percentile(std::vector<double> values, double pct);
-
-// True when |a - b| <= tol * max(1, |a|, |b|).
-bool approx_equal(double a, double b, double tol = 1e-9) noexcept;
 
 // Clamps to [lo, hi].
 double clamp(double value, double lo, double hi) noexcept;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <stdexcept>
 
@@ -64,38 +63,6 @@ void Table::print(std::ostream& out) const {
     rule_width += widths[c] + (c + 1 < widths.size() ? 2 : 0);
   out << std::string(rule_width, '-') << '\n';
   for (const auto& row : rows_) emit_row(row);
-}
-
-namespace {
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string escaped = "\"";
-  for (const char ch : field) {
-    if (ch == '"') escaped += '"';
-    escaped += ch;
-  }
-  escaped += '"';
-  return escaped;
-}
-}  // namespace
-
-void Table::write_csv(std::ostream& out) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      out << csv_escape(cells[c]);
-      if (c + 1 < cells.size()) out << ',';
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
-void Table::save_csv(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file)
-    throw std::runtime_error("Table::save_csv: cannot open " + path);
-  write_csv(file);
 }
 
 std::ostream& operator<<(std::ostream& out, const Table& table) {

@@ -1,8 +1,7 @@
-// Aligned console tables and CSV emission for the benchmark harnesses.
+// Aligned console tables for the benchmark harnesses.
 //
 // Every figure/table reproduction prints a Table to stdout (the "rows the
-// paper reports") and can optionally persist the same data as CSV for
-// plotting.
+// paper reports").
 #pragma once
 
 #include <iosfwd>
@@ -33,9 +32,6 @@ class Table {
 
   // Render the table with aligned columns and a rule under the header.
   void print(std::ostream& out) const;
-  // RFC-4180-ish CSV (fields with commas/quotes are quoted).
-  void write_csv(std::ostream& out) const;
-  void save_csv(const std::string& path) const;
 
  private:
   std::string title_;

@@ -98,16 +98,6 @@ TEST(OptimalSolver, BranchLimitGuardThrows) {
   EXPECT_THROW(OptimalSolver{options}.solve(instance), std::runtime_error);
 }
 
-TEST(OptimalSolver, BoundPruningPreservesOptimum) {
-  const DotInstance instance = make_small_scenario(3);
-  OptimalSolverOptions pruned_options;
-  pruned_options.bound_pruning = true;
-  const DotSolution plain = OptimalSolver{}.solve(instance);
-  const DotSolution pruned = OptimalSolver{pruned_options}.solve(instance);
-  EXPECT_NEAR(plain.cost.objective, pruned.cost.objective, 1e-9);
-  EXPECT_LE(pruned.branches_explored, plain.branches_explored);
-}
-
 TEST(OptimalSolver, ReportsSolveTime) {
   const DotInstance instance = make_small_scenario(2);
   const DotSolution solution = OptimalSolver{}.solve(instance);

@@ -74,26 +74,12 @@ TEST_P(ParallelSolvers, OptimalSolverMatchesSerial) {
   EXPECT_EQ(serial.cost.admitted_tasks, parallel.cost.admitted_tasks);
   EXPECT_EQ(serial.cost.memory_bytes, parallel.cost.memory_bytes);
   EXPECT_EQ(serial.cost.training_cost_s, parallel.cost.training_cost_s);
-  // Default options disable bound pruning, so even the branch count is
-  // invariant under the first-layer fan-out.
+  // Even the branch count is invariant under the first-layer fan-out.
   EXPECT_EQ(serial.branches_explored, parallel.branches_explored)
       << instance.name;
   expect_decisions_identical(serial.decisions, parallel.decisions);
   expect_block_paths_identical(instance, serial.decisions,
                                parallel.decisions);
-}
-
-TEST_P(ParallelSolvers, OptimalSolverWithPruningMatchesSerialOptimum) {
-  const DotInstance instance = random_instance(GetParam());
-  OptimalSolverOptions options;
-  options.bound_pruning = true;
-  const auto [serial, parallel] =
-      solve_both([&] { return OptimalSolver{options}.solve(instance); });
-
-  // Subtrees prune against local incumbents only, so branch counts may
-  // differ — the optimum and its decisions must not.
-  EXPECT_EQ(serial.cost.objective, parallel.cost.objective) << instance.name;
-  expect_decisions_identical(serial.decisions, parallel.decisions);
 }
 
 TEST_P(ParallelSolvers, BeamSolverMatchesSerial) {

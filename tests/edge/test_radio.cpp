@@ -69,29 +69,5 @@ TEST(RadioModel, MinRbsForRate) {
   EXPECT_EQ(radio.min_rbs_for_rate(0.0, 20.0), 0u);
 }
 
-TEST(RadioResourcePool, AllocateAndRelease) {
-  RadioResourcePool pool(50);
-  EXPECT_EQ(pool.total_rbs(), 50u);
-  EXPECT_TRUE(pool.try_allocate(30));
-  EXPECT_EQ(pool.available_rbs(), 20u);
-  EXPECT_FALSE(pool.try_allocate(21));
-  EXPECT_EQ(pool.allocated_rbs(), 30u);  // failed allocation changed nothing
-  pool.release(10);
-  EXPECT_TRUE(pool.try_allocate(21));
-}
-
-TEST(RadioResourcePool, OverReleaseThrows) {
-  RadioResourcePool pool(10);
-  EXPECT_TRUE(pool.try_allocate(5));
-  EXPECT_THROW(pool.release(6), std::logic_error);
-}
-
-TEST(RadioResourcePool, Reset) {
-  RadioResourcePool pool(10);
-  EXPECT_TRUE(pool.try_allocate(10));
-  pool.reset();
-  EXPECT_EQ(pool.available_rbs(), 10u);
-}
-
 }  // namespace
 }  // namespace odn::edge

@@ -75,20 +75,6 @@ TEST(ResourceLedger, RejectsEachDimension) {
   EXPECT_FALSE(ledger.try_commit(0.0, 0.0, 51));  // RBs
 }
 
-TEST(ResourceLedger, ReleaseRestoresCapacity) {
-  ResourceLedger ledger(sample_resources());
-  EXPECT_TRUE(ledger.try_commit(2.0, 6e9, 40));
-  ledger.release(1.0, 3e9, 20);
-  EXPECT_TRUE(ledger.try_commit(1.4, 4.9e9, 30));
-}
-
-TEST(ResourceLedger, ReleaseUnderflowThrows) {
-  ResourceLedger ledger(sample_resources());
-  EXPECT_TRUE(ledger.try_commit(1.0, 1e9, 5));
-  EXPECT_THROW(ledger.release(0.0, 0.0, 6), std::logic_error);
-  EXPECT_THROW(ledger.release(2.0, 0.0, 0), std::logic_error);
-}
-
 TEST(ResourceLedger, Reset) {
   ResourceLedger ledger(sample_resources());
   EXPECT_TRUE(ledger.try_commit(2.0, 6e9, 40));

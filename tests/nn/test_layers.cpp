@@ -52,43 +52,6 @@ TEST(ReLU, NumericInputGradient) {
   check_input_gradient(relu, input, rng);
 }
 
-TEST(MaxPool2d, ForwardPicksMaxima) {
-  MaxPool2d pool(2);
-  Tensor input({1, 1, 2, 2});
-  input.at4(0, 0, 0, 0) = 1.0f;
-  input.at4(0, 0, 0, 1) = 4.0f;
-  input.at4(0, 0, 1, 0) = 3.0f;
-  input.at4(0, 0, 1, 1) = 2.0f;
-  const Tensor output = pool.forward(input, false);
-  EXPECT_EQ(output.shape(), (Shape{1, 1, 1, 1}));
-  EXPECT_FLOAT_EQ(output[0], 4.0f);
-}
-
-TEST(MaxPool2d, BackwardRoutesToArgmax) {
-  MaxPool2d pool(2);
-  Tensor input({1, 1, 2, 2});
-  input.at4(0, 0, 0, 1) = 9.0f;
-  (void)pool.forward(input, true);
-  Tensor grad({1, 1, 1, 1});
-  grad[0] = 7.0f;
-  const Tensor grad_input = pool.backward(grad);
-  EXPECT_FLOAT_EQ(grad_input.at4(0, 0, 0, 1), 7.0f);
-  EXPECT_FLOAT_EQ(grad_input.at4(0, 0, 0, 0), 0.0f);
-}
-
-TEST(MaxPool2d, TooSmallInputThrows) {
-  MaxPool2d pool(4);
-  const Tensor input({1, 1, 2, 2});
-  EXPECT_THROW(pool.forward(input, false), std::invalid_argument);
-}
-
-TEST(MaxPool2d, NumericInputGradient) {
-  util::Rng rng(103);
-  MaxPool2d pool(2);
-  const Tensor input = random_tensor({2, 2, 4, 4}, rng);
-  check_input_gradient(pool, input, rng);
-}
-
 TEST(GlobalAvgPool2d, ForwardAverages) {
   GlobalAvgPool2d pool;
   Tensor input({1, 2, 2, 2});
@@ -118,28 +81,11 @@ TEST(GlobalAvgPool2d, NumericInputGradient) {
   check_input_gradient(pool, input, rng);
 }
 
-TEST(Flatten, RoundTrip) {
-  Flatten flatten;
-  Tensor input({2, 3, 2, 2});
-  for (std::size_t i = 0; i < input.size(); ++i)
-    input[i] = static_cast<float>(i);
-  const Tensor output = flatten.forward(input, true);
-  EXPECT_EQ(output.shape(), (Shape{2, 12}));
-  const Tensor grad_input = flatten.backward(output);
-  EXPECT_EQ(grad_input.shape(), input.shape());
-  for (std::size_t i = 0; i < input.size(); ++i)
-    EXPECT_FLOAT_EQ(grad_input[i], input[i]);
-}
-
 TEST(Layers, StatelessLayersHaveNoParameters) {
   ReLU relu;
-  MaxPool2d pool(2);
   GlobalAvgPool2d avg;
-  Flatten flatten;
   EXPECT_TRUE(relu.parameters().empty());
-  EXPECT_TRUE(pool.parameters().empty());
   EXPECT_TRUE(avg.parameters().empty());
-  EXPECT_TRUE(flatten.parameters().empty());
 }
 
 TEST(Layers, FrozenFlagRoundTrip) {

@@ -1,7 +1,7 @@
-// MetricsRegistry: accumulator semantics (counter/gauge/histogram),
-// histogram bucket boundaries under Prometheus `le` rules, registry
-// conflict detection and the deterministic snapshot exports (Prometheus
-// text with label escaping, JSON).
+// MetricsRegistry: accumulator semantics (counter/histogram), histogram
+// bucket boundaries under Prometheus `le` rules, registry conflict
+// detection and the deterministic Prometheus text export (with label
+// escaping).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,50 +22,6 @@ TEST(Counter, IncrementsAndResets) {
   EXPECT_EQ(counter.value(), 42u);
   counter.reset();
   EXPECT_EQ(counter.value(), 0u);
-}
-
-TEST(Gauge, SetAddRoundTripInMicroUnits) {
-  Gauge gauge;
-  gauge.set(1.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 1.5);
-  gauge.add(0.25);
-  gauge.add(-0.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 1.25);
-  // Fixed-point micro-units: resolution is 1e-6, exactly.
-  gauge.set(0.1234567);
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.123457);
-  gauge.reset();
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-}
-
-TEST(Gauge, NegativeAddsAccumulateExactlyInFixedPoint) {
-  Gauge gauge;
-  // A gauge may legitimately go negative (e.g. a headroom delta); the
-  // micro-unit fixed point must carry the sign through repeated adds.
-  gauge.add(-0.75);
-  EXPECT_DOUBLE_EQ(gauge.value(), -0.75);
-  gauge.add(-0.25);
-  EXPECT_DOUBLE_EQ(gauge.value(), -1.0);
-  gauge.add(2.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 1.5);
-  // Many small adds accumulate in integer micro-units, so there is no
-  // floating-point drift: 1000 x 0.001 is exactly 1 plus the 1.5 above.
-  for (int i = 0; i < 1000; ++i) gauge.add(0.001);
-  EXPECT_DOUBLE_EQ(gauge.value(), 2.5);
-}
-
-TEST(Gauge, AddsRoundHalfAwayLikeSet) {
-  Gauge gauge;
-  // Sub-resolution adds round to the nearest micro-unit the same way
-  // set() does — llround semantics, half away from zero.
-  gauge.add(0.0000005);  // 0.5 micro-units -> rounds to 1
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.000001);
-  gauge.reset();
-  gauge.add(-0.0000005);
-  EXPECT_DOUBLE_EQ(gauge.value(), -0.000001);
-  gauge.reset();
-  gauge.add(0.0000004);  // under half a micro-unit: drops to 0
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
 }
 
 TEST(Histogram, BucketBoundariesFollowLeSemantics) {
@@ -134,7 +90,6 @@ TEST(MetricsRegistry, ReturnsStableReferencesAndDetectsConflicts) {
   EXPECT_EQ(&two_a, &two_b);
 
   // Same name, different metric type: rejected.
-  EXPECT_THROW(registry.gauge("odn_test_total"), std::invalid_argument);
   EXPECT_THROW(registry.histogram("odn_test_total", {1.0}),
                std::invalid_argument);
 
@@ -168,15 +123,13 @@ TEST(MetricsRegistry, MismatchedBoundsErrorNamesTheMetric) {
 TEST(MetricsRegistry, ResetValuesKeepsRegistrations) {
   MetricsRegistry registry;
   registry.counter("odn_reset_total").inc(5);
-  registry.gauge("odn_reset_gauge").set(2.0);
   registry.histogram("odn_reset_seconds", {1.0}).observe(0.5);
   const std::size_t count = registry.metric_count();
-  EXPECT_EQ(count, 3u);
+  EXPECT_EQ(count, 2u);
 
   registry.reset_values();
   EXPECT_EQ(registry.metric_count(), count);
   EXPECT_EQ(registry.counter("odn_reset_total").value(), 0u);
-  EXPECT_DOUBLE_EQ(registry.gauge("odn_reset_gauge").value(), 0.0);
   EXPECT_EQ(registry.histogram("odn_reset_seconds", {1.0}).count(), 0u);
 }
 
@@ -221,18 +174,6 @@ TEST(MetricsRegistry, PrometheusEscapesLabelValues) {
   EXPECT_NE(text.find("quote=\"say \\\"hi\\\"\""), std::string::npos);
   // The raw newline must not survive into the exposition line.
   EXPECT_EQ(text.find("x\ny"), std::string::npos);
-}
-
-TEST(MetricsRegistry, JsonSnapshotIsDeterministic) {
-  MetricsRegistry registry;
-  registry.counter("odn_j_total", {{"class", "high"}}).inc(3);
-  registry.gauge("odn_j_gauge").set(1.5);
-  registry.histogram("odn_j_seconds", {1.0}).observe(0.5);
-
-  const std::string json = registry.to_json();
-  EXPECT_EQ(json, registry.to_json());
-  EXPECT_NE(json.find("\"odn_j_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"class\": \"high\""), std::string::npos);
 }
 
 }  // namespace

@@ -135,7 +135,6 @@ TEST_F(TraceTest, DisabledTracerRecordsNothing) {
   ASSERT_FALSE(tracing_enabled());
   {
     ODN_TRACE_SPAN("test", "disabled.span");
-    trace_instant("test", "disabled.instant");
   }
   EXPECT_EQ(buffered_event_count(), 0u);
 }
@@ -147,10 +146,9 @@ TEST_F(TraceTest, EnabledSpansBufferAndDrainAsTraceEventJson) {
     {
       ODN_TRACE_SPAN("test", "inner");
     }
-    trace_instant("test", "marker");
   }
   set_tracing_enabled(false);
-  EXPECT_EQ(buffered_event_count(), 3u);
+  EXPECT_EQ(buffered_event_count(), 2u);
 
   std::ostringstream out;
   write_trace_json(out);
@@ -163,9 +161,7 @@ TEST_F(TraceTest, EnabledSpansBufferAndDrainAsTraceEventJson) {
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"marker\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // complete spans
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);  // instant
 }
 
 TEST_F(TraceTest, SpanStateCapturedAtConstruction) {

@@ -18,53 +18,6 @@ TEST(Mean, BasicAndEmpty) {
   EXPECT_DOUBLE_EQ(mean({}), 0.0);
 }
 
-TEST(Stddev, KnownValue) {
-  const std::vector<double> values{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  // Sample stddev of this classic set is ~2.138.
-  EXPECT_NEAR(stddev(values), 2.13809, 1e-4);
-}
-
-TEST(Stddev, DegenerateInputs) {
-  EXPECT_DOUBLE_EQ(stddev({}), 0.0);
-  const std::vector<double> one{5.0};
-  EXPECT_DOUBLE_EQ(stddev(one), 0.0);
-  const std::vector<double> constant{3.0, 3.0, 3.0};
-  EXPECT_DOUBLE_EQ(stddev(constant), 0.0);
-}
-
-TEST(MinMax, Basic) {
-  const std::vector<double> values{3.0, -1.0, 7.0, 2.0};
-  EXPECT_DOUBLE_EQ(min_value(values), -1.0);
-  EXPECT_DOUBLE_EQ(max_value(values), 7.0);
-  EXPECT_DOUBLE_EQ(min_value({}), 0.0);
-  EXPECT_DOUBLE_EQ(max_value({}), 0.0);
-}
-
-TEST(Linspace, EndpointsExact) {
-  const auto grid = linspace(0.0, 1.0, 11);
-  ASSERT_EQ(grid.size(), 11u);
-  EXPECT_DOUBLE_EQ(grid.front(), 0.0);
-  EXPECT_DOUBLE_EQ(grid.back(), 1.0);
-  EXPECT_NEAR(grid[5], 0.5, 1e-12);
-}
-
-TEST(Linspace, SinglePoint) {
-  const auto grid = linspace(3.0, 9.0, 1);
-  ASSERT_EQ(grid.size(), 1u);
-  EXPECT_DOUBLE_EQ(grid[0], 3.0);
-}
-
-TEST(Linspace, ZeroCountThrows) {
-  EXPECT_THROW(linspace(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Linspace, DescendingRange) {
-  const auto grid = linspace(1.0, 0.0, 3);
-  EXPECT_DOUBLE_EQ(grid[0], 1.0);
-  EXPECT_DOUBLE_EQ(grid[1], 0.5);
-  EXPECT_DOUBLE_EQ(grid[2], 0.0);
-}
-
 TEST(MovingAverage, WindowOneIsIdentity) {
   const std::vector<double> values{1.0, 5.0, 3.0};
   EXPECT_EQ(moving_average(values, 1), values);
@@ -156,13 +109,6 @@ TEST(Percentile, SelectionIsBitEqualToSortedReference) {
                 std::bit_cast<std::uint64_t>(sorted_percentile(values, pct)));
     }
   }
-}
-
-TEST(ApproxEqual, RelativeAndAbsolute) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0));
-  EXPECT_TRUE(approx_equal(1e12, 1e12 + 1.0, 1e-9));
-  EXPECT_FALSE(approx_equal(1.0, 1.1, 1e-9));
-  EXPECT_TRUE(approx_equal(0.0, 1e-10, 1e-9));
 }
 
 TEST(Clamp, Bounds) {

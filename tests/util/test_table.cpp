@@ -61,26 +61,6 @@ TEST(Table, PrintIncludesTitle) {
   EXPECT_NE(out.str().find("== My Figure =="), std::string::npos);
 }
 
-TEST(Table, CsvPlainFields) {
-  Table table;
-  table.set_header({"a", "b"});
-  table.add_row({"1", "2"});
-  std::ostringstream out;
-  table.write_csv(out);
-  EXPECT_EQ(out.str(), "a,b\n1,2\n");
-}
-
-TEST(Table, CsvEscapesSpecialCharacters) {
-  Table table;
-  table.set_header({"field"});
-  table.add_row({"has,comma"});
-  table.add_row({"has\"quote"});
-  std::ostringstream out;
-  table.write_csv(out);
-  EXPECT_NE(out.str().find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
