@@ -35,7 +35,8 @@ struct EmulatorOptions {
   // each sealed batch occupies one GPU executor for
   // batching.cost.batch_cost_s(c1, size). When batching.enabled is false
   // every request is a batch of one, which costs exactly c1, and no other
-  // batching field is read.
+  // batching field is read (window_s must still be finite and
+  // non-negative).
   model::BatchingOptions batching{};
   // Flight-recorder context: emulator-internal timestamps are relative to
   // the emulation window, so epoch-driven callers pass the window's start
@@ -94,6 +95,12 @@ class EdgeEmulator {
   // construct an emulator from a freshly assembled plan and may replace or
   // destroy the source between construction and run(), so holding a
   // reference would dangle.
+  //
+  // Throws std::invalid_argument for a non-finite or non-positive
+  // duration, a non-finite or negative result_bits, batching.window_s or
+  // compute capacity, invalid enabled batching options, or an admitted
+  // task whose admitted_rate, inference_time_s or input_bits is non-finite
+  // or negative (the message names the task).
   EdgeEmulator(core::DeploymentPlan plan, edge::RadioModel radio,
                double compute_capacity_s, EmulatorOptions options = {});
 

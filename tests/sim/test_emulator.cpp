@@ -1,5 +1,8 @@
 #include "sim/emulator.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/scenarios.h"
@@ -190,6 +193,103 @@ TEST(Emulator, InvalidDurationThrows) {
   options.duration_s = 0.0;
   EXPECT_THROW(EdgeEmulator(plan, instance.radio, 1.0, options),
                std::invalid_argument);
+}
+
+// A non-finite window would generate arrivals without end, so every input
+// that reaches an event time is checked up front.
+TEST(Emulator, NonFiniteDurationThrows) {
+  const core::DotInstance instance = core::make_small_scenario(1);
+  const core::DeploymentPlan plan = plan_for(instance);
+  for (const double duration :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    EmulatorOptions options;
+    options.duration_s = duration;
+    EXPECT_THROW(EdgeEmulator(plan, instance.radio, 1.0, options),
+                 std::invalid_argument)
+        << duration;
+  }
+}
+
+TEST(Emulator, NonFiniteOrNegativeResultBitsThrows) {
+  const core::DotInstance instance = core::make_small_scenario(1);
+  const core::DeploymentPlan plan = plan_for(instance);
+  for (const double bits : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), -1.0}) {
+    EmulatorOptions options;
+    options.result_bits = bits;
+    EXPECT_THROW(EdgeEmulator(plan, instance.radio, 1.0, options),
+                 std::invalid_argument)
+        << bits;
+  }
+}
+
+TEST(Emulator, NonFiniteOrNegativeBatchWindowThrows) {
+  const core::DotInstance instance = core::make_small_scenario(1);
+  const core::DeploymentPlan plan = plan_for(instance);
+  // Checked with batching off too: the window is an event-time offset.
+  for (const bool enabled : {false, true}) {
+    for (const double window : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -0.5}) {
+      EmulatorOptions options;
+      options.batching.enabled = enabled;
+      options.batching.window_s = window;
+      EXPECT_THROW(EdgeEmulator(plan, instance.radio, 1.0, options),
+                   std::invalid_argument)
+          << enabled << " " << window;
+    }
+  }
+}
+
+TEST(Emulator, NonFiniteOrNegativeComputeCapacityThrows) {
+  const core::DotInstance instance = core::make_small_scenario(1);
+  const core::DeploymentPlan plan = plan_for(instance);
+  for (const double capacity : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -2.0})
+    EXPECT_THROW(EdgeEmulator(plan, instance.radio, capacity),
+                 std::invalid_argument)
+        << capacity;
+}
+
+// Each bad admitted-task field throws with the task's name in the message;
+// the same value on a task that was not admitted is never read.
+void expect_task_field_rejected(double core::TaskPlan::*field,
+                                const std::string& name) {
+  const core::DotInstance instance = core::make_small_scenario(2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    core::DeploymentPlan plan = plan_for(instance);
+    ASSERT_TRUE(plan.tasks[1].admitted);
+    plan.tasks[1].*field = bad;
+    try {
+      EdgeEmulator emulator(plan, instance.radio, 1.0);
+      ADD_FAILURE() << name << " = " << bad << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(plan.tasks[1].task_name), std::string::npos)
+          << message;
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+    }
+    plan.tasks[1].admitted = false;
+    EXPECT_NO_THROW(EdgeEmulator(plan, instance.radio, 1.0));
+  }
+}
+
+TEST(Emulator, NonFiniteOrNegativeAdmittedRateThrows) {
+  expect_task_field_rejected(&core::TaskPlan::admitted_rate,
+                             "admitted_rate");
+}
+
+TEST(Emulator, NonFiniteOrNegativeInferenceTimeThrows) {
+  expect_task_field_rejected(&core::TaskPlan::inference_time_s,
+                             "inference_time_s");
+}
+
+TEST(Emulator, NonFiniteOrNegativeInputBitsThrows) {
+  expect_task_field_rejected(&core::TaskPlan::input_bits, "input_bits");
 }
 
 TEST(TaskTrace, StatisticsHelpers) {
