@@ -1,8 +1,10 @@
 #include "cluster/cluster_stats.h"
 
+#include <cstdint>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -244,21 +246,33 @@ void export_metrics(const ClusterReport& report, bool migration_on,
   obs::Histogram& epoch_latency = registry.histogram(
       "odn_runtime_epoch_latency_seconds",
       {0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0});
-  for (const runtime::ClassStats& stats : report.aggregate_classes()) {
-    const obs::Labels labels{{"class", stats.name}};
-    registry.counter("odn_runtime_arrivals_total", labels).inc(stats.arrivals);
+  // Each class's totals over the report's own book and every cell's, as
+  // aggregate_classes() sums them, but read in place instead of copied.
+  std::vector<const runtime::ClassStats*> books;
+  for (std::size_t c = 0; c < report.classes.size(); ++c) {
+    books.assign(1, &report.classes[c]);
+    for (const CellReport& cell : report.cells)
+      if (c < cell.classes.size()) books.push_back(&cell.classes[c]);
+    const auto total = [&](std::size_t runtime::ClassStats::*field) {
+      std::uint64_t sum = 0;
+      for (const runtime::ClassStats* book : books) sum += book->*field;
+      return sum;
+    };
+    const obs::Labels labels{{"class", report.classes[c].name}};
+    registry.counter("odn_runtime_arrivals_total", labels)
+        .inc(total(&runtime::ClassStats::arrivals));
     registry.counter("odn_runtime_admissions_total", labels)
-        .inc(stats.admitted);
+        .inc(total(&runtime::ClassStats::admitted));
     registry.counter("odn_runtime_rejections_total", labels)
-        .inc(stats.rejected_final);
+        .inc(total(&runtime::ClassStats::rejected_final));
     registry.counter("odn_runtime_retries_total", labels)
-        .inc(stats.retries_scheduled);
+        .inc(total(&runtime::ClassStats::retries_scheduled));
     registry.counter("odn_runtime_slo_violations_total", labels)
-        .inc(stats.slo_violations);
+        .inc(total(&runtime::ClassStats::slo_violations));
     // Emulated (virtual-time) latencies and a fixed-point sum: the buckets
     // snapshot identically for any ODN_THREADS and any observation order.
-    for (const double latency_s : stats.latency_samples_s)
-      epoch_latency.observe(latency_s);
+    for (const runtime::ClassStats* book : books)
+      epoch_latency.observe_all(book->latency_samples_s);
   }
   registry.counter("odn_runtime_epochs_total").inc(report.epochs);
   std::uint64_t samples = 0;

@@ -73,15 +73,36 @@ Histogram::Histogram(std::vector<double> bounds)
   }
 }
 
-void Histogram::observe(double value) noexcept {
+std::size_t Histogram::bucket_index(double value) const noexcept {
   // `le` semantics: the first bound >= value wins; above the last bound
   // the observation lands in the +Inf overflow bucket.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const std::size_t index =
-      static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[index].fetch_add(1, std::memory_order_relaxed);
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+      bounds_.begin());
+}
+
+void Histogram::observe(double value) noexcept {
+  buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_micro_.fetch_add(to_micro(value), std::memory_order_relaxed);
+}
+
+void Histogram::observe_all(std::span<const double> values) {
+  if (values.empty()) return;
+  std::vector<std::uint64_t> counts(buckets_.size(), 0);
+  // Unsigned, so it wraps where the atomic sum would, without signed
+  // overflow; the conversion back is modular.
+  std::uint64_t sum = 0;
+  for (const double value : values) {
+    ++counts[bucket_index(value)];
+    sum += static_cast<std::uint64_t>(to_micro(value));
+  }
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    if (counts[i] != 0)
+      buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
+  count_.fetch_add(values.size(), std::memory_order_relaxed);
+  sum_micro_.fetch_add(static_cast<std::int64_t>(sum),
+                       std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::bucket(std::size_t index) const noexcept {

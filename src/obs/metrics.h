@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +60,9 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double value) noexcept;
+  // Same counts and sum as observe() on each value in turn, bucketed
+  // locally and published with one atomic add per bucket.
+  void observe_all(std::span<const double> values);
 
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   // Non-cumulative count of bucket `index`; index bounds_.size() is +Inf.
@@ -71,6 +75,8 @@ class Histogram {
   void reset() noexcept;
 
  private:
+  std::size_t bucket_index(double value) const noexcept;
+
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds + overflow
   std::atomic<std::uint64_t> count_{0};

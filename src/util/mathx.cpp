@@ -32,6 +32,10 @@ std::vector<double> moving_average(std::span<const double> values,
 }
 
 double percentile(std::vector<double> values, double pct) {
+  return percentile_in_place(values, pct);
+}
+
+double percentile_in_place(std::span<double> values, double pct) {
   if (values.empty()) throw std::invalid_argument("percentile: empty input");
   if (pct < 0.0 || pct > 100.0)
     throw std::invalid_argument("percentile: pct out of [0,100]");

@@ -19,6 +19,9 @@ std::vector<double> moving_average(std::span<const double> values,
 
 // Percentile in [0, 100] via linear interpolation between order statistics.
 double percentile(std::vector<double> values, double pct);
+// The same percentile, computed in place: reorders `values`. (A named
+// function, not an overload, so `percentile({...}, pct)` stays unambiguous.)
+double percentile_in_place(std::span<double> values, double pct);
 
 // Clamps to [lo, hi].
 double clamp(double value, double lo, double hi) noexcept;

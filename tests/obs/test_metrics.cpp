@@ -4,10 +4,13 @@
 // escaping).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -62,6 +65,52 @@ TEST(Histogram, InfinityLandsInOverflowBucketWithSaturatedSum) {
   EXPECT_EQ(histogram.bucket(1), 0u);
   EXPECT_EQ(histogram.bucket(2), 2u);  // the +Inf overflow bucket
   EXPECT_EQ(histogram.count(), 2u);
+}
+
+// observe_all(span) must leave exactly what observe() on each value in
+// turn leaves: the same bucket counts, count and (bit-equal) sum.
+void expect_observe_all_matches(const std::vector<double>& values) {
+  const std::vector<double> bounds{-1.0, 0.0, 0.5, 1.0, 2.0};
+  Histogram one_by_one(bounds);
+  Histogram batched(bounds);
+  // A value already present: observe_all adds to it.
+  one_by_one.observe(0.25);
+  batched.observe(0.25);
+  for (const double value : values) one_by_one.observe(value);
+  batched.observe_all(values);
+  for (std::size_t i = 0; i < one_by_one.bucket_count(); ++i)
+    EXPECT_EQ(batched.bucket(i), one_by_one.bucket(i)) << "bucket " << i;
+  EXPECT_EQ(batched.count(), one_by_one.count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.sum()),
+            std::bit_cast<std::uint64_t>(one_by_one.sum()));
+}
+
+TEST(Histogram, ObserveAllMatchesObserveOnBounds) {
+  expect_observe_all_matches({-1.0, 0.0, 0.5, 1.0, 2.0, 2.0, 0.5});
+}
+
+TEST(Histogram, ObserveAllMatchesObserveAboveLastBound) {
+  expect_observe_all_matches(
+      {2.0000001, 3.0, 1e300, std::numeric_limits<double>::infinity()});
+}
+
+TEST(Histogram, ObserveAllMatchesObserveOnNegativesAndNan) {
+  expect_observe_all_matches({-0.0, -0.5, -1.0, -7.25, -1e300,
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN(),
+                              0.75, std::numeric_limits<double>::quiet_NaN()});
+}
+
+TEST(Histogram, ObserveAllMatchesObserveWhereTheSumSaturatesAndWraps) {
+  // Past +-9.2e12 s the micro-unit conversion saturates, and a few
+  // saturated values wrap the 64-bit sum: both paths wrap alike.
+  expect_observe_all_matches({9.3e12, 9.3e12, 1.5, 9.3e12});
+  expect_observe_all_matches({-9.3e12, -9.3e12, -2.0});
+  expect_observe_all_matches({9.3e12, -9.3e12, 5e12, 5e12, -1e13});
+}
+
+TEST(Histogram, ObserveAllOfNothingChangesNothing) {
+  expect_observe_all_matches({});
 }
 
 TEST(Histogram, RejectsInvalidBounds) {

@@ -111,6 +111,22 @@ TEST(Percentile, SelectionIsBitEqualToSortedReference) {
   }
 }
 
+TEST(Percentile, InPlaceIsBitEqualToCopying) {
+  Rng rng(23);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<double> values(
+        static_cast<std::size_t>(rng.uniform_int(1, 200)));
+    for (double& value : values) value = rng.uniform(0.0, 3.0);
+    for (const double pct : {0.0, 50.0, 95.0, 100.0}) {
+      std::vector<double> scratch = values;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile_in_place(scratch, pct)),
+                std::bit_cast<std::uint64_t>(percentile(values, pct)));
+    }
+  }
+  std::vector<double> none;
+  EXPECT_THROW(percentile_in_place(none, 50.0), std::invalid_argument);
+}
+
 TEST(Clamp, Bounds) {
   EXPECT_DOUBLE_EQ(clamp(5.0, 0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(clamp(-5.0, 0.0, 1.0), 0.0);
