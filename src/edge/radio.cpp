@@ -28,8 +28,10 @@ constexpr double kEffectiveFraction = 0.75;
 }  // namespace
 
 RadioModel RadioModel::fixed(double bits_per_rb_per_second) {
-  if (bits_per_rb_per_second <= 0.0)
-    throw std::invalid_argument("RadioModel::fixed: non-positive rate");
+  if (!(std::isfinite(bits_per_rb_per_second) &&
+        bits_per_rb_per_second > 0.0))
+    throw std::invalid_argument(
+        "RadioModel::fixed: rate must be finite and positive");
   RadioModel model;
   model.fixed_mode_ = true;
   model.fixed_rate_ = bits_per_rb_per_second;
@@ -43,8 +45,9 @@ RadioModel RadioModel::lte() {
 }
 
 RadioModel RadioModel::scaled(double factor) const {
-  if (factor <= 0.0)
-    throw std::invalid_argument("RadioModel::scaled: non-positive factor");
+  if (!(std::isfinite(factor) && factor > 0.0))
+    throw std::invalid_argument(
+        "RadioModel::scaled: factor must be finite and positive");
   RadioModel model = *this;
   model.derate_ *= factor;
   return model;

@@ -15,7 +15,8 @@ namespace odn::edge {
 
 class RadioModel {
  public:
-  // Fixed throughput per RB (bits/s), as in Table IV.
+  // Fixed throughput per RB (bits/s), as in Table IV. Throws
+  // std::invalid_argument unless it is finite and positive.
   static RadioModel fixed(double bits_per_rb_per_second);
   // LTE-like: throughput derived from an MCS table lookup on SNR.
   static RadioModel lte();
@@ -38,7 +39,8 @@ class RadioModel {
   // multiplicatively with any existing derate). Fault injection uses this
   // to model radio-bandwidth degradation: factor in (0, 1] derates every
   // SNR point uniformly; 1 is the identity (bit-exact, since multiplying a
-  // finite double by 1.0 is exact).
+  // finite double by 1.0 is exact). Throws std::invalid_argument unless
+  // `factor` is finite and positive.
   RadioModel scaled(double factor) const;
   double derate() const noexcept { return derate_; }
 

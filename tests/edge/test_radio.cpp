@@ -1,5 +1,7 @@
 #include "edge/radio.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace odn::edge {
@@ -14,6 +16,16 @@ TEST(RadioModel, FixedModeIgnoresSnr) {
 TEST(RadioModel, FixedModeRejectsNonPositiveRate) {
   EXPECT_THROW(RadioModel::fixed(0.0), std::invalid_argument);
   EXPECT_THROW(RadioModel::fixed(-1.0), std::invalid_argument);
+}
+
+// A NaN or infinite rate would reach the emulator's event times.
+TEST(RadioModel, RejectsNonFiniteRateAndScale) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(RadioModel::fixed(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(RadioModel::fixed(350e3).scaled(bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(RadioModel, LteThroughputIncreasesWithSnr) {
