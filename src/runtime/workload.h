@@ -55,8 +55,8 @@ struct WorkloadTrace {
   bool has_qos() const noexcept;
 
   // Throws std::invalid_argument when events are unsorted, reference
-  // templates out of range, depart jobs that never arrived, or depart
-  // before they arrive.
+  // templates out of range, depart jobs that never arrived, depart
+  // before they arrive, or reuse a job id (also after its departure).
   void validate() const;
 };
 

@@ -192,6 +192,13 @@ TEST(Workload, ValidateRejectsBrokenTraces) {
   EXPECT_THROW(trace.validate(), std::invalid_argument);
   trace.horizon_s = 10.0;
 
+  // A job id reused after its departure: ids name one job each.
+  trace.events = {{1.0, WorkloadEventKind::kArrival, 1, 0},
+                  {2.0, WorkloadEventKind::kDeparture, 1, 0},
+                  {3.0, WorkloadEventKind::kArrival, 1, 0},
+                  {4.0, WorkloadEventKind::kDeparture, 1, 0}};
+  EXPECT_THROW(trace.validate(), std::invalid_argument);
+
   // A well-formed trace passes.
   trace.events = {{1.0, WorkloadEventKind::kArrival, 0, 0},
                   {2.0, WorkloadEventKind::kDeparture, 0, 0}};
@@ -216,8 +223,8 @@ TEST(Workload, ReadRejectsMalformedInput) {
     EXPECT_THROW(read_trace(in), std::runtime_error);
   }
   // Unparsable, non-finite, out-of-range and +-prefixed numbers, signed or
-  // oversized counts, trailing tokens and records past the declared count
-  // all fail with the offending line.
+  // oversized counts, trailing tokens, records past the declared count and
+  // a job id reused after its departure all fail with the offending line.
   const std::string base =
       "ODN-TRACE 1\nname x\nhorizon 10\ntemplates 1\nevents 1\n"
       "event 1 A 0 0\n";
@@ -234,6 +241,9 @@ TEST(Workload, ReadRejectsMalformedInput) {
       {"event 1 A", "event nan A"},
       {"templates 1", "templates 1 2"},
       {"event 1 A 0 0\n", "event 1 A 0 0\nevent 2 D 0 0\n"},
+      {"horizon 10\ntemplates 1\nevents 1\nevent 1 A 0 0\n",
+       "horizon 50\ntemplates 2\nevents 4\nevent 1 A 1 0\nevent 2 D 1 0\n"
+       "event 3 A 1 1\nevent 40 D 1 1\n"},
   };
   for (const auto& [from, to] : defects) {
     std::string text = base;
