@@ -13,7 +13,8 @@
 // cell's live deployment is measured by its own EdgeEmulator stream, and
 // cells with SLO violations offer up to migration_batch of their
 // lowest-priority jobs to sibling cells (flash-crowd migration — a move is
-// release + re-admit, so per-cell ledgers can never be violated).
+// release + re-admit, so per-cell ledgers can never be violated). A run
+// pulls the trace as it plays and holds books only for live jobs.
 //
 // Determinism contract: given equal (catalog, cells, templates, options,
 // trace), two runs produce byte-identical JSON reports for any

@@ -24,9 +24,8 @@ namespace odn::sched {
 // Epoch-boundary classification (sched::classify) of every job of the
 // trace. Serving jobs are bucketed by their current trajectory (the bucket
 // they would land in if they departed now); jobs never admitted and not yet
-// resolved count as pending. Pending therefore also counts jobs whose
-// arrival is still ahead of the epoch: the engine builds its job table from
-// the whole trace up front. Counting only arrived jobs would move the sched
+// resolved count as pending, and so, for now, do the trace's arrivals still
+// ahead of the epoch: counting only arrived jobs would move the sched
 // goldens and the benchmark's pinned report digest.
 struct SchedEpochBuckets {
   double time_s = 0.0;
