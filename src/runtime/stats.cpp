@@ -6,11 +6,8 @@
 #include "util/mathx.h"
 
 namespace odn::runtime {
-namespace {
 
 using obs::json_escape;
-
-}  // namespace
 
 void ClassStats::merge_from(const ClassStats& other) {
   arrivals += other.arrivals;
@@ -87,10 +84,14 @@ void write_class_stats_json(std::ostream& out, const ClassStats& c,
       << ",\n";
   out << indent << "    \"mean_s\": " << json_double(c.mean_latency_s())
       << ",\n";
-  out << indent << "    \"p50_s\": " << json_double(c.p50_latency_s())
-      << ",\n";
-  out << indent << "    \"p95_s\": " << json_double(c.p95_latency_s())
-      << "\n";
+  // Both percentiles select from one scratch copy: the order statistics do
+  // not depend on the order the first selection leaves behind.
+  std::vector<double> samples = c.latency_samples_s;
+  const auto pct = [&](double p) {
+    return samples.empty() ? 0.0 : util::percentile_in_place(samples, p);
+  };
+  out << indent << "    \"p50_s\": " << json_double(pct(50.0)) << ",\n";
+  out << indent << "    \"p95_s\": " << json_double(pct(95.0)) << "\n";
   out << indent << "  },\n";
   out << indent << "  \"slo\": {\n";
   out << indent << "    \"violations\": " << c.slo_violations << ",\n";
